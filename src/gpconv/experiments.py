@@ -285,6 +285,8 @@ def run_dgp_convergence(
             flags.append("saturation")
         if chain.warnings:
             flags.append("truncation-warning")
+        if chain.n_assembly_failures > 0:
+            flags.append("assembly-failures")
         records.append(
             ConvergenceRecord(
                 n=n, fill_distance=h, errors=errors, wall_time_ms=wall_ms, flags=flags

@@ -85,7 +85,8 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
 
     On a factorisation failure the jitter is escalated once by a factor of
     1000 (recorded on the result); a second failure raises
-    SingularGramError naming the smallest pivot.
+    SingularGramError naming the escalated jitter and the smallest
+    eigenvalue of the matrix that failed to factor.
     """
     if jitter < 0:
         raise ParameterError(f"jitter must be non-negative, got {jitter}")
@@ -103,11 +104,13 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
             factor = _cholesky_lower(gram_matrix + (data.noise_var + jitter_used) * eye)
             escalated = True
         except np.linalg.LinAlgError:
-            pivot = float(np.min(np.linalg.eigvalsh(gram_matrix + ridge * eye)))
+            failed = gram_matrix + (data.noise_var + jitter_used) * eye
+            smallest = float(np.linalg.eigvalsh(failed)[0])
             raise SingularGramError(
-                f"Gram matrix is numerically singular (N={data.n}, "
-                f"smallest pivot {pivot:.3e}); duplicated points or too "
-                "little regularisation"
+                f"Gram matrix is numerically singular: Cholesky met a "
+                f"non-positive pivot at jitter {jitter_used:.3e} (N={data.n}, "
+                f"smallest eigenvalue {smallest:.3e}); duplicated points or "
+                "too little regularisation"
             ) from None
 
     weights = linalg.cho_solve((factor, True), data.values, check_finite=False)

@@ -13,6 +13,7 @@ with a normalising prefactor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -136,20 +137,39 @@ def _half_integer_p(nu: float) -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _half_integer_coefficients(p: int) -> tuple[float, ...]:
+    """Coefficients c_0..c_p of the closed form k(z) / sigma^2 = exp(-z) sum_j c_j z^j
+    for nu = p + 1/2, where c_j = p! (2p - j)! 2^j / ((2p)! (p - j)! j!).
+
+    Each is a correctly rounded ratio of exact integers, so c_0 = 1 exactly.
+    """
+    f = math.factorial
+    return tuple(
+        (f(p) * f(2 * p - j) * 2**j) / (f(2 * p) * f(p - j) * f(j)) for j in range(p + 1)
+    )
+
+
 def _matern_profile(nu: float, lam: float, sigma_sq: float, r: np.ndarray) -> np.ndarray:
     """Matern kernel as a function of distance, vectorised over r >= 0."""
     r = np.asarray(r, dtype=float)
-    z = math.sqrt(2.0 * nu) * r / lam
+    # z = sqrt(2 nu) r / lambda in a fresh array, kept an array (not a numpy
+    # scalar) for 0-d r so that the in-place steps below work for every shape;
+    # each fresh array costs page faults, so the closed form makes only two
+    z = np.multiply(math.sqrt(2.0 * nu), r, out=np.empty_like(r))
+    z /= lam
     p = _half_integer_p(nu)
-    if p is not None:
-        # exponential-times-polynomial closed form for nu = p + 1/2
-        poly = np.zeros_like(z)
-        for i in range(p + 1):
-            coeff = math.factorial(p + i) / (math.factorial(i) * math.factorial(p - i))
-            poly += coeff * (2.0 * z) ** (p - i)
-        scale = math.factorial(p) / math.factorial(2 * p)
-        return sigma_sq * scale * np.exp(-z) * poly
-    return _matern_bessel_profile(nu, sigma_sq, z)
+    if p is None:
+        return _matern_bessel_profile(nu, sigma_sq, z)
+    # exponential-times-polynomial closed form for nu = p + 1/2, by Horner's rule
+    coeffs = _half_integer_coefficients(p)
+    out = np.full_like(z, sigma_sq * coeffs[p])
+    for c in reversed(coeffs[:p]):
+        out *= z
+        out += sigma_sq * c
+    np.negative(z, out=z)
+    out *= np.exp(z, out=z)
+    return out
 
 
 def _matern_bessel_profile(nu: float, sigma_sq: float, z: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ from gpconv.deep import (
     DgpSpec,
     LayerSpec,
     Truncation,
+    _path_cholesky,
+    _path_draw,
     dgp_posterior_mean,
     layer_kernel,
     pcn_step,
@@ -152,6 +154,46 @@ class TestSampleDgpPrior:
                 )
                 ok, smallest = check_psd(induced, pts, tol=1e-6)
                 assert ok, f"smallest eigenvalue {smallest}"
+
+
+class TestPathDraw:
+    def test_vector_state_bit_identical_to_matmul(self):
+        chol = _path_cholesky(MaternKernel(3.5, 5.0), MESH)
+        xi = np.random.default_rng(0).standard_normal(len(MESH))
+        assert np.array_equal(_path_draw(chol, xi), chol @ xi)
+
+    def test_width_state_matches_matmul(self):
+        chol = _path_cholesky(MaternKernel(3.5, 5.0), MESH)
+        xi = np.random.default_rng(1).standard_normal((3, len(MESH)))
+        drawn = _path_draw(chol, xi)
+        expected = xi @ chol.T
+        assert drawn.shape == (3, len(MESH))
+        assert np.max(np.abs(drawn - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DgpSpec(
+                depth=2,
+                layer0_nu=3.5,
+                layer0_lambda=5.0,
+                layers=(LayerSpec("warp", base_nu=2.5), LayerSpec("mixture_f", base_nu=2.5)),
+                rescale_warp=True,
+            ),
+            DgpSpec(
+                depth=1, layer0_nu=3.5, width=3, layers=(LayerSpec("mixture_f", base_nu=2.5),)
+            ),
+        ],
+        ids=["depth2", "width3"],
+    )
+    def test_chain_trace_reproducible(self, spec):
+        traces = []
+        for _ in range(2):
+            chain = DgpChain(spec, _training_data(), MESH, 0.3, rng_seed=9)
+            for _ in range(20):
+                chain.step()
+            traces.append(chain.trace_csv())
+        assert traces[0] == traces[1]
 
 
 class TestChain:

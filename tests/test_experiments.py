@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gpconv import deep
 from gpconv.errors import ConfigError
 from gpconv.experiments import (
     FIGURE_BANDS,
@@ -224,6 +225,28 @@ class TestRunDgpConvergence:
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
         records, fits = run_dgp_convergence(quick, McmcParams(20, 30, 0.3), seed=1)
         assert len(records) == 2
+        assert all(np.isfinite(r.errors["l2"]) for r in records)
+
+    def test_assembly_failures_flagged(self, monkeypatch):
+        """Every proposal fails to factor once a chain holds its start state,
+        and each level's record says so."""
+        config, _ = reference_tdgp_config()
+        quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
+        real_cholesky = deep.linalg.cholesky
+        real_init = deep.DgpChain.__init__
+
+        def failing_cholesky(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        def init_then_fail(self, *args, **kwargs):
+            monkeypatch.setattr(deep.linalg, "cholesky", real_cholesky)
+            real_init(self, *args, **kwargs)
+            monkeypatch.setattr(deep.linalg, "cholesky", failing_cholesky)
+
+        monkeypatch.setattr(deep.DgpChain, "__init__", init_then_fail)
+        records, _ = run_dgp_convergence(quick, McmcParams(5, 10, 0.3), seed=1)
+        assert len(records) == 2
+        assert all("assembly-failures" in r.flags for r in records)
         assert all(np.isfinite(r.errors["l2"]) for r in records)
 
 

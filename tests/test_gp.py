@@ -54,6 +54,16 @@ class TestFit:
         with pytest.raises(SingularGramError, match="pivot"):
             fit(MaternKernel(1.5), data, jitter=0.0)
 
+    def test_singular_gram_reports_escalated_eigenvalue(self):
+        """The message names the jitter that failed last and the smallest
+        eigenvalue of that matrix, not of the unescalated one."""
+        data = TrainingData(np.array([0.0, 0.0]), np.array([1.0, 1.0]), noise_var=1e-300)
+        with pytest.raises(SingularGramError) as info:
+            fit(MaternKernel(1.5), data, jitter=1e-300)
+        message = str(info.value)
+        assert "jitter 1.000e-297" in message
+        assert "smallest eigenvalue" in message
+
     def test_factor_reproduces_regularised_gram(self):
         """L L^T matches K + (noise + jitter) I to 1e-10 relative Frobenius."""
         design = uniform_design((0.0, 5.0), 32)

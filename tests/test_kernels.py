@@ -32,6 +32,7 @@ from gpconv.kernels import (
     gram,
     kernel_diag,
     kernel_eval,
+    kernel_matrix,
     matern_eval,
 )
 
@@ -91,6 +92,27 @@ class TestMaternEval:
         )
         np.testing.assert_allclose(closed, scipy_form, rtol=1e-10)
         np.testing.assert_allclose(closed, inhouse, rtol=1e-10)
+
+    @pytest.mark.parametrize("p", range(9))
+    @pytest.mark.parametrize("sigma_sq", [0.7, 1.0, 3.0])
+    def test_closed_form_zero_distance_exact(self, p, sigma_sq):
+        """k(0) = sigma_sq to the last bit for every half-integer order."""
+        assert matern_eval(p + 0.5, 1.3, sigma_sq, 0.0) == sigma_sq
+
+    @pytest.mark.parametrize("p", range(9))
+    def test_horner_matches_factorial_formula(self, p):
+        """The Horner evaluation agrees with the factorial-sum closed form
+        sigma^2 p!/(2p)! exp(-z) sum_i (p+i)!/(i!(p-i)!) (2z)^(p-i), 1e-14 relative."""
+        nu, lam, sigma_sq = p + 0.5, 0.8, 2.0
+        r = np.linspace(0.0, 40.0, 2001)
+        z = math.sqrt(2.0 * nu) * r / lam
+        poly = sum(
+            math.factorial(p + i) / (math.factorial(i) * math.factorial(p - i)) * (2.0 * z) ** (p - i)
+            for i in range(p + 1)
+        )
+        reference = sigma_sq * math.factorial(p) / math.factorial(2 * p) * np.exp(-z) * poly
+        horner = kernel_matrix(MaternKernel(nu, lam, sigma_sq), r, [0.0])[:, 0]
+        np.testing.assert_allclose(horner, reference, rtol=1e-14, atol=0)
 
     def test_gaussian_limit_large_nu(self):
         """Large-order kernels approach the Gaussian kernel.
