@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -110,11 +111,11 @@ class ExperimentConfig:
     rate_tail: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
+        object.__setattr__(self, "domain", _interval(self.domain, "domain"))
+        if not _all_numbers(self.n_schedule, numbers.Integral):
+            raise ConfigError(f"n_schedule must be a list of integers, got {self.n_schedule!r}")
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         object.__setattr__(self, "norms", tuple(self.norms))
-        if not self.domain[0] < self.domain[1]:
-            raise ConfigError("domain must satisfy a < b")
         if len(self.n_schedule) == 0 or any(
             b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])
         ):
@@ -133,6 +134,23 @@ class ExperimentConfig:
 
     def eval_mesh(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.eval_mesh_size)
+
+
+def _all_numbers(values, kind) -> bool:
+    """Whether ``values`` is a list, tuple or array of ``kind`` numbers; bool
+    subclasses int, but true/false in a config is never a number."""
+    return isinstance(values, (list, tuple, np.ndarray)) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in values
+    )
+
+
+def _interval(value, what: str) -> tuple[float, float]:
+    """An interval (a, b) with a < b, given as exactly two numbers."""
+    if not _all_numbers(value, numbers.Real) or len(value) != 2:
+        raise ConfigError(f"{what} must be exactly two numbers, got {value!r}")
+    if not value[0] < value[1]:
+        raise ConfigError(f"{what} must satisfy a < b, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
 @dataclass
@@ -155,43 +173,20 @@ def _level_rng(seed: int, config_id: str, level: int, extra: int = 0):
     return np.random.default_rng([int(seed), tag, int(level), int(extra)])
 
 
-def _warn_if_coarse_mesh(config: ExperimentConfig):
-    if not config.recommended_mesh:
-        warnings.warn(
-            f"config {config.id!r}: eval_mesh_size {config.eval_mesh_size} is below "
-            f"the recommended 4 x max(n_schedule) = {4 * max(config.n_schedule)}",
-            stacklevel=3,
-        )
-
-
-def _build_design(config: ExperimentConfig, n: int, seed: int, level: int) -> DesignSet:
+def _level_data(config: ExperimentConfig, n: int, seed: int, level: int):
+    """Fill distance and training data at one schedule level."""
     if config.design.kind == "uniform":
-        return uniform_design(config.domain, n)
-    rng = _level_rng(seed, config.id, level, extra=config.design.seed + 1)
-    a, b = config.domain
-    points = np.sort(rng.uniform(a, b, n))
-    return DesignSet(points=points, domain=config.domain)
-
-
-def _observe(config: ExperimentConfig, design: DesignSet, h: float, seed: int, level: int):
+        design = uniform_design(config.domain, n)
+    else:
+        rng = _level_rng(seed, config.id, level, extra=config.design.seed + 1)
+        design = DesignSet(points=rng.uniform(*config.domain, n), domain=config.domain)
+    h = fill_distance(design)
     delta_sq = config.noise.level(h)
     values = np.asarray(config.truth(design.points), dtype=float)
     if delta_sq > 0 and config.noise.sample_noise:
         rng = _level_rng(seed, config.id, level, extra=2)
         values = values + math.sqrt(delta_sq) * rng.standard_normal(len(values))
-    return values, delta_sq
-
-
-def _floored_errors(raw: dict[str, float]) -> tuple[dict[str, float], bool]:
-    floored = {}
-    saturated = False
-    for kind, value in raw.items():
-        if value < ERROR_FLOOR:
-            floored[kind] = ERROR_FLOOR
-            saturated = True
-        else:
-            floored[kind] = value
-    return floored, saturated
+    return h, TrainingData(design.points, values, noise_var=delta_sq)
 
 
 def _fit_rates(
@@ -211,6 +206,33 @@ def _fit_rates(
     return fits
 
 
+def _run_levels(
+    config: ExperimentConfig, seed: int, fit_level
+) -> tuple[list[ConvergenceRecord], dict[str, RateFit]]:
+    """The schedule loop of every runner.  ``fit_level(level, data, mesh)``
+    returns the posterior mean on the mesh and its own flags; the loop adds
+    the timing, the floored error norms (``saturation`` first) and the rates."""
+    if not config.recommended_mesh:
+        warnings.warn(
+            f"config {config.id!r}: eval_mesh_size {config.eval_mesh_size} is below "
+            f"the recommended 4 x max(n_schedule) = {4 * max(config.n_schedule)}",
+            stacklevel=3,
+        )
+    mesh = config.eval_mesh()
+    records = []
+    for level, n in enumerate(config.n_schedule):
+        h, data = _level_data(config, n, seed, level)
+        start = time.perf_counter()
+        mean, flags = fit_level(level, data, mesh)
+        raw = {kind: error_norm(config.truth, mean, mesh, kind) for kind in config.norms}
+        wall_ms = 1000.0 * (time.perf_counter() - start)
+        if any(value < ERROR_FLOOR for value in raw.values()):
+            flags = ["saturation"] + flags
+        errors = {kind: max(value, ERROR_FLOOR) for kind, value in raw.items()}
+        records.append(ConvergenceRecord(n, h, errors, wall_ms, flags))
+    return records, _fit_rates(records, config.norms, config.rate_tail)
+
+
 def run_convergence(
     config: ExperimentConfig, seed: int
 ) -> tuple[list[ConvergenceRecord], dict[str, RateFit]]:
@@ -219,34 +241,12 @@ def run_convergence(
         raise ConfigError(
             f"config {config.id!r} holds a layered hierarchy; use run_dgp_convergence"
         )
-    _warn_if_coarse_mesh(config)
-    mesh = config.eval_mesh()
-    records = []
-    for level, n in enumerate(config.n_schedule):
-        design = _build_design(config, n, seed, level)
-        h = fill_distance(design)
-        values, delta_sq = _observe(config, design, h, seed, level)
-        start = time.perf_counter()
-        post = fit(
-            config.kernel,
-            TrainingData(design.points, values, noise_var=delta_sq),
-            jitter=config.jitter,
-        )
-        mean = posterior_mean(post, mesh)
-        raw = {kind: error_norm(config.truth, mean, mesh, kind) for kind in config.norms}
-        wall_ms = 1000.0 * (time.perf_counter() - start)
-        errors, saturated = _floored_errors(raw)
-        flags = []
-        if saturated:
-            flags.append("saturation")
-        if post.escalated:
-            flags.append("jitter-escalation")
-        records.append(
-            ConvergenceRecord(
-                n=n, fill_distance=h, errors=errors, wall_time_ms=wall_ms, flags=flags
-            )
-        )
-    return records, _fit_rates(records, config.norms, config.rate_tail)
+
+    def fit_level(level, data, mesh):
+        post = fit(config.kernel, data, jitter=config.jitter)
+        return posterior_mean(post, mesh), ["jitter-escalation"] if post.escalated else []
+
+    return _run_levels(config, seed, fit_level)
 
 
 def run_dgp_convergence(
@@ -261,51 +261,26 @@ def run_dgp_convergence(
         raise ConfigError(f"config {config.id!r} does not hold a layered hierarchy")
     if config.noise.kind != "schedule":
         raise ConfigError("hierarchy runs need a noise schedule (delta as a power of h)")
-    _warn_if_coarse_mesh(config)
-    mesh = config.eval_mesh()
-    records = []
-    for level, n in enumerate(config.n_schedule):
-        design = _build_design(config, n, seed, level)
-        h = fill_distance(design)
-        values, delta_sq = _observe(config, design, h, seed, level)
-        start = time.perf_counter()
-        chain = deep.DgpChain(
-            config.kernel,
-            TrainingData(design.points, values, noise_var=delta_sq),
-            mesh,
-            step_beta=mcmc.beta,
-            rng_seed=_level_rng(seed, config.id, level, extra=3).integers(2**63),
-        )
+
+    def fit_level(level, data, mesh):
+        rng_seed = _level_rng(seed, config.id, level, extra=3).integers(2**63)
+        chain = deep.DgpChain(config.kernel, data, mesh, step_beta=mcmc.beta, rng_seed=rng_seed)
         mean = deep.dgp_posterior_mean(chain, mcmc.n_burn, mcmc.n_iter)
-        raw = {kind: error_norm(config.truth, mean, mesh, kind) for kind in config.norms}
-        wall_ms = 1000.0 * (time.perf_counter() - start)
-        errors, saturated = _floored_errors(raw)
         flags = []
-        if saturated:
-            flags.append("saturation")
         if chain.warnings:
             flags.append("truncation-warning")
         if chain.n_assembly_failures > 0:
             flags.append("assembly-failures")
-        records.append(
-            ConvergenceRecord(
-                n=n, fill_distance=h, errors=errors, wall_time_ms=wall_ms, flags=flags
-            )
-        )
-    return records, _fit_rates(records, config.norms, config.rate_tail)
+        return mean, flags
+
+    return _run_levels(config, seed, fit_level)
 
 
 def mean_posterior_variance(config: ExperimentConfig, n: int, seed: int = 0) -> float:
     """Average posterior variance over the evaluation mesh at one level."""
     level = config.n_schedule.index(n) if n in config.n_schedule else 0
-    design = _build_design(config, n, seed, level)
-    h = fill_distance(design)
-    values, delta_sq = _observe(config, design, h, seed, level)
-    post = fit(
-        config.kernel,
-        TrainingData(design.points, values, noise_var=delta_sq),
-        jitter=config.jitter,
-    )
+    _, data = _level_data(config, n, seed, level)
+    post = fit(config.kernel, data, jitter=config.jitter)
     return float(np.mean(posterior_var(post, config.eval_mesh())))
 
 
@@ -374,7 +349,6 @@ def builtin_figures() -> list[ExperimentConfig]:
     conv = ConvolutionKernel(
         lambda_a=make_function({"kind": "poly2_sin", "a": 1.0, "b": -3.0, "c": 4.0}),
         base_iso=MaternKernel(0.5),
-        dim=1,
     )
     mix_indicator = MixtureKernel(
         components=(
@@ -482,7 +456,6 @@ def kernel_to_dict(spec: KernelSpec | deep.DgpSpec) -> dict:
             "variant": "convolution",
             "lambda_a": spec.lambda_a.to_params(),
             "base_iso": kernel_to_dict(spec.base_iso),
-            "dim": spec.dim,
         }
     if isinstance(spec, deep.DgpSpec):
         return {
@@ -553,10 +526,12 @@ def kernel_from_dict(data: dict) -> KernelSpec | deep.DgpSpec:
         return MixtureKernel(components=tuple(components))
     if variant == "convolution":
         _expect_keys(data, {"variant", "lambda_a", "base_iso"}, {"dim"}, "convolution kernel")
+        dim = data.get("dim", 1)
+        if type(dim) is not int or dim != 1:
+            raise ConfigError(f"convolution kernels are 1-D; got dim {dim!r}")
         return ConvolutionKernel(
             lambda_a=_function_from(data["lambda_a"]),
             base_iso=kernel_from_dict(data["base_iso"]),
-            dim=data.get("dim", 1),
         )
     if variant == "dgp":
         _expect_keys(
@@ -575,7 +550,7 @@ def kernel_from_dict(data: dict) -> KernelSpec | deep.DgpSpec:
             layers=tuple(_layer_from_dict(layer) for layer in data["layers"]),
             width=data.get("width", 1),
             rescale_warp=data.get("rescale_warp", False),
-            domain=tuple(data.get("domain", (0.0, 5.0))),
+            domain=_interval(data.get("domain", (0.0, 5.0)), "hierarchy domain"),
         )
     raise ConfigError(f"unknown kernel variant {variant!r}")
 
@@ -658,10 +633,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
     return ExperimentConfig(
         id=data["id"],
-        domain=tuple(data["domain"]),
+        domain=data["domain"],
         truth=_function_from(data["truth"]),
         kernel=kernel_from_dict(data["kernel"]),
-        n_schedule=tuple(data["n_schedule"]),
+        n_schedule=data["n_schedule"],
         design=DesignRule(design_data["kind"], design_data.get("seed", 0)),
         noise=NoiseModel(
             kind=noise_data["kind"],

@@ -28,7 +28,7 @@ PATH_JITTER_SCALE = 1e-12
 
 @dataclass(frozen=True)
 class TrainingData:
-    """Design points, observed values and the observation noise variance."""
+    """Design points (a non-empty 1-D array), observed values and the noise variance."""
 
     points: np.ndarray
     values: np.ndarray
@@ -36,18 +36,16 @@ class TrainingData:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
         vals = np.asarray(self.values, dtype=float).ravel()
-        if pts.ndim != 2 or len(pts) == 0:
-            raise ParameterError("points must be a non-empty (N,) or (N, d) array")
+        if pts.ndim != 1 or len(pts) == 0:
+            raise ParameterError(f"points must be a non-empty 1-D array, got shape {pts.shape}")
         if len(vals) != len(pts):
             raise ParameterError(
                 f"got {len(pts)} points but {len(vals)} values"
             )
         if self.noise_var < 0:
             raise ParameterError(f"noise_var must be non-negative, got {self.noise_var}")
-        if self.noise_var == 0.0 and len(np.unique(pts, axis=0)) != len(pts):
+        if self.noise_var == 0.0 and len(np.unique(pts)) != len(pts):
             raise ParameterError("points must be pairwise distinct when noise_var = 0")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
@@ -92,26 +90,21 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
         raise ParameterError(f"jitter must be non-negative, got {jitter}")
     gram_matrix = gram(spec, data.points)
     eye = np.eye(data.n)
-    ridge = data.noise_var + jitter
-
-    try:
-        factor = _cholesky_lower(gram_matrix + ridge * eye)
-        escalated = False
-        jitter_used = jitter
-    except np.linalg.LinAlgError:
-        jitter_used = jitter * JITTER_ESCALATION
+    for escalated, jitter_used in ((False, jitter), (True, jitter * JITTER_ESCALATION)):
+        regularised = gram_matrix + (data.noise_var + jitter_used) * eye
         try:
-            factor = _cholesky_lower(gram_matrix + (data.noise_var + jitter_used) * eye)
-            escalated = True
+            factor = _cholesky_lower(regularised)
+            break
         except np.linalg.LinAlgError:
-            failed = gram_matrix + (data.noise_var + jitter_used) * eye
-            smallest = float(np.linalg.eigvalsh(failed)[0])
-            raise SingularGramError(
-                f"Gram matrix is numerically singular: Cholesky met a "
-                f"non-positive pivot at jitter {jitter_used:.3e} (N={data.n}, "
-                f"smallest eigenvalue {smallest:.3e}); duplicated points or "
-                "too little regularisation"
-            ) from None
+            pass
+    else:
+        smallest = float(np.linalg.eigvalsh(regularised)[0])
+        raise SingularGramError(
+            f"Gram matrix is numerically singular: Cholesky met a "
+            f"non-positive pivot at jitter {jitter_used:.3e} (N={data.n}, "
+            f"smallest eigenvalue {smallest:.3e}); duplicated points or "
+            "too little regularisation"
+        )
 
     weights = linalg.cho_solve((factor, True), data.values, check_finite=False)
     return GpPosterior(
@@ -153,7 +146,9 @@ def posterior_var(post: GpPosterior, query) -> np.ndarray:
     prior_diag = kernel_diag(post.spec, query)
     solved = linalg.cho_solve((post.factor, True), cross.T, check_finite=False)
     raw = prior_diag - np.sum(cross * solved.T, axis=1)
-    return np.array([_clamp_variance(v) for v in raw])
+    # the most negative value decides: the clamp raises on it, or all clamp to 0
+    _clamp_variance(float(np.min(raw, initial=0.0)))
+    return np.maximum(raw, 0.0)
 
 
 def _clamp_variance(value: float) -> float:

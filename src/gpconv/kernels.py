@@ -82,13 +82,10 @@ class MixtureKernel:
 class ConvolutionKernel:
     lambda_a: FunctionHandle
     base_iso: "KernelSpec"
-    dim: int = 1
 
     def __post_init__(self):
         if not is_stationary(self.base_iso):
             raise ParameterError("convolution base kernel must be isotropic")
-        if self.dim < 1:
-            raise ParameterError("dim must be a positive integer")
 
 
 KernelSpec = Union[MaternKernel, GaussianKernel, WarpKernel, MixtureKernel, ConvolutionKernel]
@@ -106,28 +103,11 @@ def is_stationary(spec: KernelSpec) -> bool:
 
 
 def _as_points(points) -> np.ndarray:
-    """Canonicalise to an (n, d) float array."""
+    """Canonicalise a scalar or a vector of points to a 1-D float array."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts[:, None]
-    elif pts.ndim != 2:
-        raise ParameterError(f"points must be scalars, vectors or (n, d) arrays, got ndim={pts.ndim}")
-    return pts
-
-
-def _coords1d(pts: np.ndarray, what: str) -> np.ndarray:
-    if pts.shape[1] != 1:
-        raise ParameterError(f"{what} requires 1-D inputs, got d={pts.shape[1]}")
-    return pts[:, 0]
-
-
-def _cross_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] == 1:
-        return np.abs(a[:, 0][:, None] - b[:, 0][None, :])
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    return np.sqrt(np.maximum(sq, 0.0))
+    if pts.ndim > 1:
+        raise ParameterError(f"points must be scalars or 1-D arrays, got ndim={pts.ndim}")
+    return pts.reshape(-1)
 
 
 def _half_integer_p(nu: float) -> int | None:
@@ -231,49 +211,42 @@ def _eval_fn(handle: FunctionHandle, x: np.ndarray, what: str) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Cross-covariance matrix k(a_i, b_j); with b omitted, the Gram matrix.
 
-    The Gram case is exactly symmetric: every entry is assembled from
-    expressions symmetric in (i, j).
+    Points are 1-D: a scalar is one point, a vector is a point set, and an
+    array with more than one dimension raises ParameterError.  The Gram case
+    is exactly symmetric: every entry is assembled from expressions
+    symmetric in (i, j).
     """
-    pa = _as_points(a)
-    pb = pa if b is None else _as_points(b)
-    if pa.shape[1] != pb.shape[1]:
-        raise ParameterError("point sets have mismatched dimensions")
+    ua = _as_points(a)
+    ub = ua if b is None else _as_points(b)
 
     if is_stationary(spec):
-        return _stationary_profile(spec, _cross_dist(pa, pb))
+        return _stationary_profile(spec, np.abs(ua[:, None] - ub[None, :]))
 
     if isinstance(spec, WarpKernel):
-        ua = _coords1d(pa, "warping kernel")
-        ub = ua if b is None else _coords1d(pb, "warping kernel")
         wa = _eval_fn(spec.w, ua, "warping function")
         wb = wa if b is None else _eval_fn(spec.w, ub, "warping function")
         return _stationary_profile(spec.base, np.abs(wa[:, None] - wb[None, :]))
 
     if isinstance(spec, MixtureKernel):
-        ua = _coords1d(pa, "mixture kernel")
-        ub = ua if b is None else _coords1d(pb, "mixture kernel")
         out = np.zeros((len(ua), len(ub)))
         for sigma_fn, base in spec.components:
             sa = _eval_fn(sigma_fn, ua, "mixture coefficient")
             sb = sa if b is None else _eval_fn(sigma_fn, ub, "mixture coefficient")
-            out += (sa[:, None] * sb[None, :]) * kernel_matrix(base, pa, None if b is None else pb)
+            out += (sa[:, None] * sb[None, :]) * kernel_matrix(base, ua, None if b is None else ub)
         return out
 
     if isinstance(spec, ConvolutionKernel):
-        ua = _coords1d(pa, "convolution kernel")
-        ub = ua if b is None else _coords1d(pb, "convolution kernel")
         la = _eval_fn(spec.lambda_a, ua, "length-scale function")
         lb = la if b is None else _eval_fn(spec.lambda_a, ub, "length-scale function")
         if np.any(la <= 0) or np.any(lb <= 0):
             raise DomainError("length-scale function must be strictly positive")
-        d = spec.dim
         mean_l = 0.5 * (la[:, None] + lb[None, :])
-        # 2^(d/2) la^(d/4) lb^(d/4) assembled as (2 la)^(d/4) (2 lb)^(d/4)
+        # sqrt(2) la^(1/4) lb^(1/4) assembled as (2 la)^(1/4) (2 lb)^(1/4)
         # so every factor is symmetric in (i, j) down to the last ulp
-        sa = (2.0 * la) ** (d / 4.0)
-        sb = sa if b is None else (2.0 * lb) ** (d / 4.0)
-        prefactor = (sa[:, None] * sb[None, :]) * (la[:, None] + lb[None, :]) ** (-d / 2.0)
-        scaled = _cross_dist(pa, pb) / np.sqrt(mean_l)
+        sa = (2.0 * la) ** 0.25
+        sb = sa if b is None else (2.0 * lb) ** 0.25
+        prefactor = (sa[:, None] * sb[None, :]) * (la[:, None] + lb[None, :]) ** -0.5
+        scaled = np.abs(ua[:, None] - ub[None, :]) / np.sqrt(mean_l)
         return prefactor * _stationary_profile(spec.base_iso, scaled)
 
     raise UnsupportedKernelError(f"unknown kernel spec {type(spec).__name__}")
@@ -287,15 +260,13 @@ def kernel_diag(spec: KernelSpec, points) -> np.ndarray:
     if isinstance(spec, WarpKernel):
         return np.full(len(pts), float(_stationary_profile(spec.base, np.zeros(1))[0]))
     if isinstance(spec, MixtureKernel):
-        u = _coords1d(pts, "mixture kernel")
-        out = np.zeros(len(u))
+        out = np.zeros(len(pts))
         for sigma_fn, base in spec.components:
-            sig = _eval_fn(sigma_fn, u, "mixture coefficient")
+            sig = _eval_fn(sigma_fn, pts, "mixture coefficient")
             out += sig * sig * kernel_diag(base, pts)
         return out
     if isinstance(spec, ConvolutionKernel):
-        u = _coords1d(pts, "convolution kernel")
-        lam_vals = _eval_fn(spec.lambda_a, u, "length-scale function")
+        lam_vals = _eval_fn(spec.lambda_a, pts, "length-scale function")
         if np.any(lam_vals <= 0):
             raise DomainError("length-scale function must be strictly positive")
         return np.full(len(pts), float(_stationary_profile(spec.base_iso, np.zeros(1))[0]))
@@ -304,7 +275,7 @@ def kernel_diag(spec: KernelSpec, points) -> np.ndarray:
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:
     """Kernel value at a single pair of points."""
-    value = kernel_matrix(spec, _as_points(u), _as_points(v))[0, 0]
+    value = kernel_matrix(spec, u, v)[0, 0]
     if not np.isfinite(value):
         raise EvaluationError("kernel evaluation produced a non-finite value")
     return float(value)

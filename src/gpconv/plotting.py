@@ -23,7 +23,6 @@ class PlotRequest:
     records: list[ConvergenceRecord]
     rate_fit: RateFit
     title: str
-    output_path: str = ""
     norm: str = "l2"
     reference_slopes: tuple[float, ...] = field(default_factory=tuple)
 

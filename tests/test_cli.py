@@ -54,6 +54,15 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [("domain", [0, 5, 9]), ("n_schedule", [2.7, 4.2])])
+    def test_malformed_config_values(self, tmp_path, small_config_path, capsys, key, value):
+        data = json.loads(small_config_path.read_text())
+        data[key] = value
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_run_rejects_hierarchy_config(self, tmp_path, small_dgp_config_path):
         code = main(["run", "--config", str(small_dgp_config_path), "--out", str(tmp_path)])
         assert code == 2

@@ -27,7 +27,7 @@ from gpconv.experiments import (
     run_dgp_convergence,
 )
 from gpconv.functions import make_function
-from gpconv.kernels import MaternKernel
+from gpconv.kernels import GaussianKernel, MaternKernel
 
 
 def _small_config(**overrides):
@@ -67,6 +67,18 @@ class TestConfigValidation:
         model = NoiseModel("schedule", c_delta=1.0, exponent=1.5)
         np.testing.assert_allclose(math.sqrt(model.level(0.5)), 0.5**1.5)
         np.testing.assert_allclose(math.sqrt(model.level(0.5)), 0.353553, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "domain", [(0.0, 5.0, 9.0), (5.0,), 5.0, ("0", "5"), (False, True), (5.0, 0.0)]
+    )
+    def test_domain_must_be_two_numbers(self, domain):
+        with pytest.raises(ConfigError, match="domain"):
+            _small_config(domain=domain)
+
+    @pytest.mark.parametrize("schedule", [(2.7, 4.2), (4.0, 8.0), (True, 8), 8])
+    def test_schedule_entries_must_be_integers(self, schedule):
+        with pytest.raises(ConfigError, match="integers"):
+            _small_config(n_schedule=schedule)
 
     def test_exponent_zero_is_constant_schedule(self):
         model = NoiseModel("schedule", c_delta=0.2, exponent=0.0)
@@ -111,6 +123,22 @@ class TestSerialisation:
         data["noise"] = {"kind": "none", "level": 3}
         with pytest.raises(ConfigError):
             config_from_dict(data)
+
+    def test_hierarchy_domain_must_be_two_numbers(self):
+        config, _ = reference_tdgp_config()
+        data = config_to_dict(config)
+        data["kernel"]["domain"] = [0, 5, 9]
+        with pytest.raises(ConfigError, match="hierarchy domain"):
+            config_from_dict(data)
+
+    def test_convolution_dim_must_be_one(self):
+        conv = next(c for c in builtin_figures() if c.id == "fig_conv").kernel
+        data = kernel_to_dict(conv)
+        assert "dim" not in data
+        assert kernel_from_dict({**data, "dim": 1}) == conv
+        for dim in (2, 1.0, True):
+            with pytest.raises(ConfigError, match="dim"):
+                kernel_from_dict({**data, "dim": dim})
 
     def test_all_kernel_variants_round_trip(self):
         for config in builtin_figures():
@@ -167,6 +195,16 @@ class TestRunConvergence:
         config = _small_config(n_schedule=(4, 8, 16, 128), eval_mesh_size=256)
         with pytest.warns(UserWarning, match="eval_mesh_size"):
             run_convergence(config, seed=0)
+
+    def test_jitter_escalation_flagged_in_csv(self):
+        # as in test_gp's escalation test, the dense Gaussian-kernel design at
+        # N = 32 fails to factor at jitter 1e-17 and the 1000x retry succeeds
+        config = _small_config(kernel=GaussianKernel(), n_schedule=(4, 32), jitter=1e-17)
+        records, _ = run_convergence(config, seed=0)
+        flags = [line.split(",")[-1] for line in records_csv(records, config.norms).splitlines()]
+        assert flags[0] == "flags"
+        assert "jitter-escalation" not in flags[1]
+        assert flags[2].split(";")[-1] == "jitter-escalation"
 
 
 class TestRandomDesigns:
@@ -226,6 +264,14 @@ class TestRunDgpConvergence:
         records, fits = run_dgp_convergence(quick, McmcParams(20, 30, 0.3), seed=1)
         assert len(records) == 2
         assert all(np.isfinite(r.errors["l2"]) for r in records)
+
+    def test_coarse_mesh_warns(self):
+        config, _ = reference_tdgp_config()
+        quick = replace(config, n_schedule=(8, 16), eval_mesh_size=32, rate_tail=2)
+        with pytest.warns(UserWarning, match="eval_mesh_size") as caught:
+            run_dgp_convergence(quick, McmcParams(2, 3, 0.3), seed=1)
+        # the warning points at the runner's caller
+        assert caught[0].filename == __file__
 
     def test_assembly_failures_flagged(self, monkeypatch):
         """Every proposal fails to factor once a chain holds its start state,

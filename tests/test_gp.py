@@ -6,6 +6,7 @@ variance properties against the behaviour exact conditioning must exhibit
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ class TestTrainingData:
             TrainingData(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(ParameterError):
             TrainingData(np.array([]), np.array([]))
+
+    def test_points_are_one_dimensional(self):
+        data = TrainingData([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        assert data.points.shape == (3,)
+        with pytest.raises(ParameterError, match=r"\(3, 2\)"):
+            TrainingData(np.zeros((3, 2)), np.zeros(3), noise_var=0.1)
 
     def test_duplicates_rejected_when_noise_free(self):
         with pytest.raises(ParameterError):
@@ -158,6 +165,22 @@ class TestPosteriorCov:
             fit(spec, TrainingData(fine.points, np.sin(fine.points)), jitter=1e-15), query
         )
         assert np.all(var_fine <= var_coarse + 1e-8)
+
+    def test_variance_clamped_at_training_points(self):
+        design = uniform_design((0.0, 5.0), 8)
+        post = fit(MaternKernel(1.5), TrainingData(design.points, np.sin(design.points)), jitter=0.0)
+        var = posterior_var(post, design.points)
+        assert np.all(var >= 0.0) and np.all(var <= 1e-8)
+
+    def test_variance_error_names_most_negative_value(self):
+        """A factor scaled by 1/2 quadruples the subtracted term: the raw
+        variance is exactly -3 at a training point and above it elsewhere."""
+        design = uniform_design((0.0, 5.0), 8)
+        post = fit(MaternKernel(1.5), TrainingData(design.points, np.sin(design.points)), jitter=0.0)
+        broken = replace(post, factor=0.5 * post.factor)
+        query = [0.5 * (design.points[2] + design.points[3]), design.points[3]]
+        with pytest.raises(ParameterError, match=r"posterior variance -3\.000e\+00"):
+            posterior_var(broken, query)
 
 
 class TestSamplePrior:

@@ -207,6 +207,18 @@ class TestGram:
             assert np.array_equal(matrix, matrix.T)
 
 
+class TestPointShape:
+    def test_two_dimensional_points_rejected(self):
+        pts = np.zeros((4, 2))
+        for spec in [MaternKernel(1.5)] + [c.kernel for c in builtin_figures()]:
+            with pytest.raises(ParameterError, match="ndim=2"):
+                kernel_matrix(spec, pts)
+            with pytest.raises(ParameterError):
+                kernel_matrix(spec, [0.0, 1.0], pts)
+            with pytest.raises(ParameterError):
+                kernel_diag(spec, pts)
+
+
 class TestCheckPsd:
     def test_matern_on_grid(self):
         pts = np.linspace(0.01, 4.99, 20)
