@@ -2,19 +2,18 @@
 
 Three subcommands: ``run`` executes an experiment config from JSON,
 ``figures`` reproduces the built-in convergence studies, and ``dgp`` runs
-a layered-hierarchy config with its chain parameters.  All outputs (CSV
-per config, rates.csv, one SVG per norm) are deterministic given the flags
-and seed.  Exit codes: 0 success, 2 configuration problem, 3 numerical
-failure.
+a layered-hierarchy config with its chain parameters.  ``figures`` runs
+the selected studies one after another, in ``--which`` order, and prints
+each study's row as it finishes.  All outputs (CSV per config, rates.csv,
+one SVG per norm) are deterministic given the flags and seed.  Exit
+codes: 0 success, 2 configuration problem, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import deep, experiments
@@ -24,16 +23,6 @@ from .plotting import PlotRequest, render_loglog_svg
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GPCONV_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError(f"GPCONV_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 def _load_config(path: str) -> experiments.ExperimentConfig:
@@ -65,6 +54,14 @@ def _write_outputs(out_dir: Path, config, records, fits, reference_slopes=()):
         (out_dir / f"{config.id}_{norm}.svg").write_text(svg)
 
 
+def _finish_study(out_dir: Path, config, records, fits):
+    """Writes one config's CSV, SVGs and rates.csv and prints its slopes."""
+    _write_outputs(out_dir, config, records, fits)
+    (out_dir / "rates.csv").write_text(experiments.rates_csv({config.id: fits}))
+    for norm, fit in fits.items():
+        print(f"  {norm}: slope {fit.slope:.3f} (r^2 {fit.r_squared:.4f})")
+
+
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     if isinstance(config.kernel, deep.DgpSpec):
@@ -72,13 +69,9 @@ def cmd_run(args) -> int:
             f"config {config.id!r} holds a layered hierarchy; use the 'dgp' subcommand"
         )
     records, fits = experiments.run_convergence(config, args.seed)
-    out_dir = Path(args.out)
-    _write_outputs(out_dir, config, records, fits)
-    (out_dir / "rates.csv").write_text(experiments.rates_csv({config.id: fits}))
     total_ms = sum(r.wall_time_ms for r in records)
     print(f"{config.id}: {len(records)} levels in {total_ms:.0f} ms")
-    for norm, fit in fits.items():
-        print(f"  {norm}: slope {fit.slope:.3f} (r^2 {fit.r_squared:.4f})")
+    _finish_study(Path(args.out), config, records, fits)
     return EXIT_OK
 
 
@@ -90,28 +83,22 @@ def cmd_figures(args) -> int:
             known = ", ".join(c.id for c in experiments.builtin_figures())
             raise ConfigError(f"unknown figure id {args.which!r}; known ids: {known}, all")
 
-    def run_one(config):
-        return config.id, experiments.run_convergence(config, args.seed)
-
-    with ThreadPoolExecutor(max_workers=min(_thread_count(), len(configs))) as pool:
-        results = dict(pool.map(run_one, configs))
-
     out_dir = Path(args.out)
     all_fits = {}
     print(f"{'config':22s} {'expected':>8s} {'fitted':>8s} {'r^2':>7s}  status")
     for config in configs:
-        records, fits = results[config.id]
+        records, fits = experiments.run_convergence(config, args.seed)
         band_info = experiments.FIGURE_BANDS[config.id]
         expected = band_info["expected"]
         lo, hi = band_info["band"]
-        slope = fits["l2"].slope if "l2" in fits else float("nan")
+        slope = fits["l2"].slope
         status = "pass" if lo <= slope <= hi else "FAIL"
         if "info_band" in band_info:
             ilo, ihi = band_info["info_band"]
             status += " (info band: " + ("in" if ilo <= slope <= ihi else "out") + ")"
         print(
             f"{config.id:22s} {expected:8.1f} {slope:8.3f} "
-            f"{fits['l2'].r_squared if 'l2' in fits else float('nan'):7.4f}  {status}"
+            f"{fits['l2'].r_squared:7.4f}  {status}"
         )
         _write_outputs(out_dir, config, records, fits, reference_slopes=(expected,))
         all_fits[config.id] = fits
@@ -127,12 +114,8 @@ def cmd_dgp(args) -> int:
         )
     mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters, beta=args.beta)
     records, fits = experiments.run_dgp_convergence(config, mcmc, args.seed)
-    out_dir = Path(args.out)
-    _write_outputs(out_dir, config, records, fits)
-    (out_dir / "rates.csv").write_text(experiments.rates_csv({config.id: fits}))
     print(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))
-    for norm, fit in fits.items():
-        print(f"  {norm}: slope {fit.slope:.3f} (r^2 {fit.r_squared:.4f})")
+    _finish_study(Path(args.out), config, records, fits)
     return EXIT_OK
 
 

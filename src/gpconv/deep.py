@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas
 
-from .analysis import discrete_norm
+from .analysis import _mesh_spacing, discrete_norm
 from .errors import (
     DomainError,
     EvaluationError,
@@ -35,7 +34,7 @@ from .errors import (
     TruncationError,
 )
 from .functions import FunctionHandle, piecewise_linear
-from .gp import PATH_JITTER_SCALE, TrainingData
+from .gp import TrainingData, _path_cholesky, _path_draw
 from .kernels import (
     KernelSpec,
     MaternKernel,
@@ -181,36 +180,13 @@ def layer_kernel(
     return MixtureKernel(components=tuple(components))
 
 
-def _path_cholesky(kernel: KernelSpec, mesh: np.ndarray) -> np.ndarray:
-    matrix = gram(kernel, mesh)
-    jitter = PATH_JITTER_SCALE * float(np.max(np.diag(matrix)))
-    return linalg.cholesky(matrix + jitter * np.eye(len(matrix)), lower=True, check_finite=False)
-
-
-def _path_draw(chol: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``chol @ xi`` for a 1-D state, ``xi @ chol.T`` for a (width, m) one.
-
-    numpy and scipy each bundle their own OpenBLAS, and each keeps a pool of
-    busy-waiting worker threads.  A pCN step that sent its products through
-    numpy and its Cholesky and solve through scipy made the two pools fight
-    for the cores: on a 2-core Xeon VM the median step of the reference
-    chain at N=256 took 8.0 ms, against 2.0 ms with every product on
-    scipy's library.  ``chol`` should be the
-    F-contiguous factor ``scipy.linalg.cholesky`` returns; a C-ordered
-    operand is copied on every call.  For a 1-D state the result is
-    bit-identical to ``chol @ xi``.
-    """
-    if xi.ndim == 1:
-        return blas.dgemv(1.0, chol, xi)
-    # xi.T is the F-contiguous (m, width) view; the product comes back as
-    # (m, width) in F order, whose transpose is a C-ordered (width, m) array.
-    return blas.dgemm(1.0, chol, xi.T).T
-
-
-def _check_mesh(mesh) -> np.ndarray:
+def _check_mesh(mesh, spec: DgpSpec) -> np.ndarray:
+    """A sorted 1-D mesh, uniform too if truncated (the discrete norms need it)."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
+    if spec.layers[-1].truncation is not None:
+        _mesh_spacing(mesh)
     return mesh
 
 
@@ -219,9 +195,10 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
 
     Returns [f0, f1, ..., fD]; for width L > 1 the first entry is an
     (L, m) array of the independent initial layers.  A truncated layer is
-    redrawn until it lands in its norm ball, up to max_rejections.
+    redrawn until it lands in its norm ball, up to max_rejections; a
+    truncated hierarchy needs a uniform mesh.
     """
-    mesh = _check_mesh(mesh)
+    mesh = _check_mesh(mesh, spec)
     rng = np.random.default_rng(seed)
     chol0 = _path_cholesky(spec.layer0_kernel(), mesh)
 
@@ -271,11 +248,12 @@ class DgpChain:
 
     with K_D the final-layer Gram matrix at the training points.  Proposals
     whose kernel assembly fails, or whose constrained layer leaves its norm
-    ball, count as rejections.  The whole trajectory is reproducible from
-    (spec, data, mesh, step_beta, rng_seed) at a fixed BLAS thread count and
-    fixed numpy, scipy and OpenBLAS versions: a change of either reorders
-    floating-point sums, which can flip an accept/reject decision and send
-    the chain down another path.
+    ball, count as rejections.  A truncated hierarchy needs a uniform mesh.
+    The whole trajectory is reproducible from (spec, data, mesh, step_beta,
+    rng_seed) at a fixed BLAS thread count and fixed numpy, scipy and
+    OpenBLAS versions: a change of either reorders floating-point sums,
+    which can flip an accept/reject decision and send the chain down
+    another path.
     """
 
     def __init__(
@@ -295,7 +273,7 @@ class DgpChain:
             raise ParameterError(f"step_beta must lie in [0, 1], got {step_beta}")
         self.spec = spec
         self.data = data
-        self.mesh = _check_mesh(mesh)
+        self.mesh = _check_mesh(mesh, spec)
         self.step_beta = float(step_beta)
         self.rng_seed = int(rng_seed)
         self.rng = np.random.default_rng(rng_seed)

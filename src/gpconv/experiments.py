@@ -34,7 +34,7 @@ from .analysis import (
     fit_rate,
     uniform_design,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .functions import FunctionHandle, FunctionSpecError, make_function
 from .gp import TrainingData, fit, posterior_mean, posterior_var
 from .kernels import (
@@ -123,6 +123,12 @@ class ExperimentConfig:
         for norm in self.norms:
             if norm not in NORM_KINDS:
                 raise ConfigError(f"unknown norm kind {norm!r}")
+        for name in ("rate_tail", "eval_mesh_size"):
+            value = getattr(self, name)
+            if not _all_numbers([value], numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not _all_numbers([self.jitter], numbers.Real):
+            raise ConfigError(f"jitter must be a number, got {self.jitter!r}")
         if self.rate_tail < 2:
             raise ConfigError("rate_tail must be at least 2")
         if self.eval_mesh_size < 4:
@@ -631,11 +637,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _expect_keys(
         noise_data, {"kind"}, {"delta_sq", "c_delta", "exponent", "sample_noise"}, "noise"
     )
+    try:
+        kernel = kernel_from_dict(data["kernel"])
+    except ParameterError as exc:
+        raise ConfigError(f"kernel: {exc}") from exc
     return ExperimentConfig(
         id=data["id"],
         domain=data["domain"],
         truth=_function_from(data["truth"]),
-        kernel=kernel_from_dict(data["kernel"]),
+        kernel=kernel,
         n_schedule=data["n_schedule"],
         design=DesignRule(design_data["kind"], design_data.get("seed", 0)),
         noise=NoiseModel(

@@ -54,7 +54,16 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("key, value", [("domain", [0, 5, 9]), ("n_schedule", [2.7, 4.2])])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("domain", [0, 5, 9]),
+            ("n_schedule", [2.7, 4.2]),
+            ("eval_mesh_size", 4.5),
+            ("rate_tail", "3"),
+            ("jitter", "x"),
+        ],
+    )
     def test_malformed_config_values(self, tmp_path, small_config_path, capsys, key, value):
         data = json.loads(small_config_path.read_text())
         data[key] = value
@@ -62,6 +71,22 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_kernel_parameter_out_of_range(self, tmp_path, small_config_path, capsys):
+        data = json.loads(small_config_path.read_text())
+        data["kernel"]["base"]["nu"] = -1
+        bad = tmp_path / "bad_nu.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "nu must be positive" in capsys.readouterr().err
+
+    def test_hierarchy_parameter_out_of_range(self, tmp_path, small_dgp_config_path, capsys):
+        data = json.loads(small_dgp_config_path.read_text())
+        data["kernel"]["depth"] = 0
+        bad = tmp_path / "bad_depth.json"
+        bad.write_text(json.dumps(data))
+        assert main(["dgp", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "depth must be at least 1" in capsys.readouterr().err
 
     def test_run_rejects_hierarchy_config(self, tmp_path, small_dgp_config_path):
         code = main(["run", "--config", str(small_dgp_config_path), "--out", str(tmp_path)])
@@ -98,15 +123,6 @@ class TestFigures:
         assert (out / "fig_warp.csv").exists()
         assert (out / "fig_warp_l2.svg").exists()
         assert (out / "rates.csv").exists()
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPCONV_THREADS", "1")
-        out = tmp_path / "figs"
-        assert main(["figures", "--which", "fig_warp", "--out", str(out), "--seed", "1"]) == 0
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPCONV_THREADS", "lots")
-        assert main(["figures", "--which", "fig_warp", "--out", str(tmp_path)]) == 2
 
 
 class TestDgp:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from gpconv.analysis import discrete_norm
 from gpconv.deep import (
@@ -16,12 +17,13 @@ from gpconv.deep import (
     pcn_step,
     sample_dgp_prior,
 )
-from gpconv.errors import ParameterError, TruncationError
+from gpconv.errors import MeshError, ParameterError, SamplingError, TruncationError
 from gpconv.gp import TrainingData, fit, posterior_mean
 from gpconv.kernels import MaternKernel, check_psd, gram
 from gpconv.analysis import uniform_design
 
 MESH = np.linspace(0.0, 5.0, 101)
+NON_UNIFORM_MESH = MESH**2 / 5.0
 
 
 def _warp_spec(truncation=None, layer0_lambda=5.0):
@@ -120,6 +122,11 @@ class TestSampleDgpPrior:
         with pytest.raises(TruncationError, match="acceptance rate"):
             sample_dgp_prior(_warp_spec(truncation=trunc), MESH, seed=0)
 
+    def test_truncated_hierarchy_needs_uniform_mesh(self):
+        trunc = Truncation("holder_discrete", 2, 1e9)
+        with pytest.raises(MeshError, match="uniformly spaced"):
+            sample_dgp_prior(_warp_spec(truncation=trunc), NON_UNIFORM_MESH, seed=0)
+
     def test_deterministic(self):
         a = sample_dgp_prior(_warp_spec(), MESH, seed=9)
         b = sample_dgp_prior(_warp_spec(), MESH, seed=9)
@@ -200,6 +207,21 @@ class TestChain:
     def test_requires_positive_noise(self):
         with pytest.raises(ParameterError):
             DgpChain(_warp_spec(), _training_data(noise_var=0.0), MESH, 0.25, 1)
+
+    def test_truncated_hierarchy_needs_uniform_mesh(self):
+        trunc = Truncation("holder_discrete", 2, 1e9)
+        with pytest.raises(MeshError, match="uniformly spaced"):
+            DgpChain(_warp_spec(truncation=trunc), _training_data(), NON_UNIFORM_MESH, 0.25, 1)
+
+    def test_unfactorable_path_is_sampling_error(self, monkeypatch):
+        def failing_cholesky(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(linalg, "cholesky", failing_cholesky)
+        with pytest.raises(SamplingError, match="path jitter"):
+            sample_dgp_prior(_warp_spec(), MESH, seed=0)
+        with pytest.raises(SamplingError, match="path jitter"):
+            DgpChain(_warp_spec(), _training_data(), MESH, 0.25, 1)
 
     def test_beta_zero_chain_is_constant(self):
         chain = DgpChain(_warp_spec(), _training_data(), MESH, step_beta=0.0, rng_seed=2)
