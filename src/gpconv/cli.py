@@ -138,11 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=int, default=0)
     p_fig.set_defaults(func=cmd_figures)
 
+    mcmc = experiments.McmcParams()
     p_dgp = sub.add_parser("dgp", help="run a layered-hierarchy config")
     p_dgp.add_argument("--config", required=True, help="path to the config JSON")
-    p_dgp.add_argument("--burn", type=int, default=500)
-    p_dgp.add_argument("--iters", type=int, default=2000)
-    p_dgp.add_argument("--beta", type=float, default=0.25)
+    p_dgp.add_argument("--burn", type=int, default=mcmc.n_burn)
+    p_dgp.add_argument("--iters", type=int, default=mcmc.n_iter)
+    p_dgp.add_argument("--beta", type=float, default=mcmc.beta)
     p_dgp.add_argument("--out", required=True, help="output directory")
     p_dgp.add_argument("--seed", type=int, default=0)
     p_dgp.set_defaults(func=cmd_dgp)

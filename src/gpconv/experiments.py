@@ -7,7 +7,16 @@ requested norm, wall time, flags) and a fitted convergence rate per norm
 from the log-log tail.  The six built-in configurations reproduce the
 reference convergence studies on (0, 5) with truth sin(2u).
 
-Configs serialise to and from JSON; unknown keys are rejected everywhere.
+Configs serialise to and from JSON by one rule read off the dataclass
+fields: an object holds a dataclass's fields under their names (a kernel
+adds its ``variant``) and may leave out any field with a default, so each
+default is stated once, on its dataclass.  An unknown key or a value of the
+wrong type is a ``ConfigError`` naming its key path.  Three layouts are
+exceptions: mixture components are ``{"sigma", "base"}`` objects, the
+hierarchy's initial layer is a ``"layer0": {nu, lam, sigma_sq}`` block, and
+a convolution kernel accepts the legacy ``"dim": 1``.  ``config_to_dict``
+writes every field, defaults included.
+
 Random streams are split deterministically from (seed, config id, level),
 so results do not depend on execution order.
 """
@@ -16,10 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import time
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,8 +44,14 @@ from .analysis import (
     uniform_design,
 )
 from .errors import ConfigError, ParameterError
-from .functions import FunctionHandle, FunctionSpecError, make_function
-from .gp import TrainingData, fit, posterior_mean, posterior_var
+from .functions import (
+    SCALAR_TYPES,
+    FunctionHandle,
+    FunctionSpecError,
+    make_function,
+    scalar_problem,
+)
+from .gp import DEFAULT_JITTER, TrainingData, fit, posterior_mean, posterior_var
 from .kernels import (
     ConvolutionKernel,
     GaussianKernel,
@@ -105,14 +120,14 @@ class ExperimentConfig:
     n_schedule: tuple[int, ...]
     design: DesignRule = DesignRule()
     noise: NoiseModel = NoiseModel()
-    jitter: float = 1e-15
+    jitter: float = DEFAULT_JITTER
     eval_mesh_size: int = 4096
     norms: tuple[str, ...] = ("l2", "h1", "sup")
     rate_tail: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _interval(self.domain, "domain"))
-        if not _all_numbers(self.n_schedule, numbers.Integral):
+        if not _all_numbers(self.n_schedule, int):
             raise ConfigError(f"n_schedule must be a list of integers, got {self.n_schedule!r}")
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         object.__setattr__(self, "norms", tuple(self.norms))
@@ -123,12 +138,11 @@ class ExperimentConfig:
         for norm in self.norms:
             if norm not in NORM_KINDS:
                 raise ConfigError(f"unknown norm kind {norm!r}")
-        for name in ("rate_tail", "eval_mesh_size"):
-            value = getattr(self, name)
-            if not _all_numbers([value], numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not _all_numbers([self.jitter], numbers.Real):
-            raise ConfigError(f"jitter must be a number, got {self.jitter!r}")
+        for name, kind in (("rate_tail", int), ("eval_mesh_size", int), ("jitter", float)):
+            if problem := scalar_problem(getattr(self, name), kind):
+                raise ConfigError(f"{name}: {problem}")
+        if not self.jitter >= 0:
+            raise ConfigError(f"jitter must be non-negative, got {self.jitter!r}")
         if self.rate_tail < 2:
             raise ConfigError("rate_tail must be at least 2")
         if self.eval_mesh_size < 4:
@@ -142,17 +156,17 @@ class ExperimentConfig:
         return np.linspace(self.domain[0], self.domain[1], self.eval_mesh_size)
 
 
-def _all_numbers(values, kind) -> bool:
-    """Whether ``values`` is a list, tuple or array of ``kind`` numbers; bool
-    subclasses int, but true/false in a config is never a number."""
-    return isinstance(values, (list, tuple, np.ndarray)) and all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in values
+def _all_numbers(values, kind: type) -> bool:
+    """Whether ``values`` is a list, tuple or array of ``kind`` (float or int)
+    numbers, by the JSON scalar rule."""
+    return isinstance(values, (list, tuple, np.ndarray)) and not any(
+        scalar_problem(v, kind) for v in values
     )
 
 
 def _interval(value, what: str) -> tuple[float, float]:
     """An interval (a, b) with a < b, given as exactly two numbers."""
-    if not _all_numbers(value, numbers.Real) or len(value) != 2:
+    if not _all_numbers(value, float) or len(value) != 2:
         raise ConfigError(f"{what} must be exactly two numbers, got {value!r}")
     if not value[0] < value[1]:
         raise ConfigError(f"{what} must satisfy a < b, got {value!r}")
@@ -316,12 +330,6 @@ def _figure_config(config_id: str, kernel: KernelSpec) -> ExperimentConfig:
         truth=make_function(_TRUTH_SIN2),
         kernel=kernel,
         n_schedule=tuple(2**level for level in range(1, 11)),
-        design=DesignRule("uniform"),
-        noise=NoiseModel("none"),
-        jitter=1e-15,
-        eval_mesh_size=4096,
-        norms=("l2", "h1", "sup"),
-        rate_tail=5,
     )
 
 
@@ -411,13 +419,10 @@ def reference_tdgp_config() -> tuple[ExperimentConfig, McmcParams]:
             deep.LayerSpec(
                 construction="warp",
                 base_nu=2.5,
-                truncation=deep.Truncation(
-                    norm_kind="holder_discrete", order=2, radius=50.0, max_rejections=1000
-                ),
+                truncation=deep.Truncation(norm_kind="holder_discrete", order=2, radius=50.0),
             ),
         ),
         rescale_warp=True,
-        domain=(0.0, 5.0),
     )
     config = ExperimentConfig(
         id="tdgp_reference",
@@ -425,241 +430,149 @@ def reference_tdgp_config() -> tuple[ExperimentConfig, McmcParams]:
         truth=make_function(_TRUTH_SIN2),
         kernel=spec,
         n_schedule=(16, 64, 256),
-        design=DesignRule("uniform"),
         noise=NoiseModel("schedule", c_delta=1.0, exponent=2.5, sample_noise=False),
-        jitter=1e-15,
         eval_mesh_size=1024,
-        norms=("l2", "h1", "sup"),
         rate_tail=3,
     )
-    return config, McmcParams(n_burn=500, n_iter=2000, beta=0.25)
+    return config, McmcParams()
 
 
 # ---------------------------------------------------------------------------
 # serialisation
 
-_MATERN_KEYS = {"variant", "nu", "lam", "sigma_sq"}
-_GAUSS_KEYS = {"variant", "lam", "sigma_sq"}
+_VARIANTS = {
+    MaternKernel: "matern",
+    GaussianKernel: "gaussian",
+    WarpKernel: "warp",
+    MixtureKernel: "mixture",
+    ConvolutionKernel: "convolution",
+    deep.DgpSpec: "dgp",
+}
+# DgpSpec fields held in the hierarchy's "layer0" block -> their key path there
+_LAYER0 = {
+    "layer0_nu": "layer0.nu",
+    "layer0_lambda": "layer0.lam",
+    "layer0_sigma_sq": "layer0.sigma_sq",
+}
+
+
+@dataclass(frozen=True)
+class _Component:
+    """JSON layout of one mixture component, ``(sigma, base)`` in the kernel."""
+
+    sigma: FunctionHandle
+    base: KernelSpec
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _error(path: str, message: str) -> ConfigError:
+    return ConfigError(f"{path}: {message}" if path else message)
+
+
+def _encode(value):
+    """The JSON form of a config value."""
+    if isinstance(value, FunctionHandle):
+        return value.to_params()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {}
+    for f in fields(value):
+        block, _, key = _LAYER0.get(f.name, f.name).rpartition(".")
+        (out.setdefault(block, {}) if block else out)[key] = _encode(getattr(value, f.name))
+    if isinstance(value, MixtureKernel):
+        out["components"] = [_encode(_Component(*c)) for c in value.components]
+    variant = _VARIANTS.get(type(value))
+    return out if variant is None else {"variant": variant, **out}
+
+
+def _decode(tp, value, path: str):
+    """``value`` read from JSON as a ``tp``; ``path`` names it in errors."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in SCALAR_TYPES:
+        if problem := scalar_problem(value, tp):
+            raise _error(path, problem)
+        return value
+    if tp is FunctionHandle:
+        try:
+            return make_function(value)
+        except FunctionSpecError as exc:
+            raise _error(_join(path, exc.key) if exc.key else path, str(exc)) from exc
+    if origin is tuple:  # tuple[X, ...], or a domain tuple[float, float] its class checks
+        if not isinstance(value, (list, tuple)):
+            raise _error(path, f"expected a list, got {value!r}")
+        return tuple(_decode(args[0], v, _join(path, i)) for i, v in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value, path)
+    if origin is typing.Union:  # a kernel, chosen by its variant
+        variants = {name: cls for cls, name in _VARIANTS.items() if cls in args}
+        variant = value.get("variant") if isinstance(value, dict) else None
+        if not isinstance(variant, str) or variant not in variants:
+            expected = f"expected one of {sorted(variants)}, got {variant!r}"
+            raise _error(_join(path, "variant"), expected)
+        data = {k: v for k, v in value.items() if k != "variant"}
+        return _decode_object(variants[variant], data, path)
+    return _decode_object(tp, value, path)
+
+
+def _decode_object(cls, data, path: str):
+    """A ``cls`` from a JSON object of its fields; a field left out takes its
+    default, and the constructor's own checks become ``ConfigError``s."""
+    if not isinstance(data, dict):
+        raise _error(path, f"expected an object, got {data!r}")
+    data = dict(data)
+    hints = typing.get_type_hints(cls)
+    if cls is MixtureKernel:
+        hints["components"] = tuple[_Component, ...]
+    if cls is ConvolutionKernel and "dim" in data:
+        dim = data.pop("dim")
+        if type(dim) is not int or dim != 1:
+            raise _error(_join(path, "dim"), f"convolution kernels are 1-D; got dim {dim!r}")
+    if cls is deep.DgpSpec:
+        layer0 = data.pop("layer0", {})
+        if not isinstance(layer0, dict):
+            raise _error(_join(path, "layer0"), f"expected an object, got {layer0!r}")
+        data.update({f"layer0.{key}": value for key, value in layer0.items()})
+        if "domain" in data:
+            data["domain"] = _interval(data["domain"], f"{_join(path, 'domain')}: hierarchy domain")
+    names = {_LAYER0.get(f.name, f.name): f for f in fields(cls)}  # by JSON key
+    if unknown := [_join(path, key) for key in data if key not in names]:
+        raise ConfigError(f"unknown keys {unknown}")
+    required = [key for key, f in names.items() if f.default is MISSING]
+    if missing := [_join(path, key) for key in required if key not in data]:
+        raise ConfigError(f"missing keys {missing}")
+    kwargs = {
+        f.name: _decode(hints[f.name], data[key], _join(path, key))
+        for key, f in names.items() if key in data
+    }
+    if cls is MixtureKernel:
+        kwargs["components"] = tuple((c.sigma, c.base) for c in kwargs["components"])
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ParameterError) as exc:
+        raise _error(path, str(exc)) from exc
 
 
 def kernel_to_dict(spec: KernelSpec | deep.DgpSpec) -> dict:
-    if isinstance(spec, MaternKernel):
-        return {"variant": "matern", "nu": spec.nu, "lam": spec.lam, "sigma_sq": spec.sigma_sq}
-    if isinstance(spec, GaussianKernel):
-        return {"variant": "gaussian", "lam": spec.lam, "sigma_sq": spec.sigma_sq}
-    if isinstance(spec, WarpKernel):
-        return {"variant": "warp", "w": spec.w.to_params(), "base": kernel_to_dict(spec.base)}
-    if isinstance(spec, MixtureKernel):
-        return {
-            "variant": "mixture",
-            "components": [
-                {"sigma": fn.to_params(), "base": kernel_to_dict(base)}
-                for fn, base in spec.components
-            ],
-        }
-    if isinstance(spec, ConvolutionKernel):
-        return {
-            "variant": "convolution",
-            "lambda_a": spec.lambda_a.to_params(),
-            "base_iso": kernel_to_dict(spec.base_iso),
-        }
-    if isinstance(spec, deep.DgpSpec):
-        return {
-            "variant": "dgp",
-            "depth": spec.depth,
-            "layer0": {
-                "nu": spec.layer0_nu,
-                "lam": spec.layer0_lambda,
-                "sigma_sq": spec.layer0_sigma_sq,
-            },
-            "layers": [_layer_to_dict(layer) for layer in spec.layers],
-            "width": spec.width,
-            "rescale_warp": spec.rescale_warp,
-            "domain": list(spec.domain),
-        }
-    raise ConfigError(f"cannot serialise kernel {type(spec).__name__}")
-
-
-def _layer_to_dict(layer: deep.LayerSpec) -> dict:
-    out = {
-        "construction": layer.construction,
-        "base_nu": layer.base_nu,
-        "base_lambda": layer.base_lambda,
-        "base_sigma_sq": layer.base_sigma_sq,
-        "link_eta": layer.link_eta,
-        "truncation": None,
-    }
-    if layer.truncation is not None:
-        out["truncation"] = {
-            "norm_kind": layer.truncation.norm_kind,
-            "order": layer.truncation.order,
-            "radius": layer.truncation.radius,
-            "max_rejections": layer.truncation.max_rejections,
-        }
-    return out
-
-
-def _expect_keys(data: dict, required: set[str], optional: set[str], what: str):
-    keys = set(data)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise ConfigError(f"{what} is missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
+    if type(spec) not in _VARIANTS:
+        raise ConfigError(f"cannot serialise kernel {type(spec).__name__}")
+    return _encode(spec)
 
 
 def kernel_from_dict(data: dict) -> KernelSpec | deep.DgpSpec:
-    if not isinstance(data, dict) or "variant" not in data:
-        raise ConfigError(f"kernel description needs a 'variant' key: {data!r}")
-    variant = data["variant"]
-    if variant == "matern":
-        _expect_keys(data, {"variant", "nu"}, {"lam", "sigma_sq"}, "matern kernel")
-        return MaternKernel(data["nu"], data.get("lam", 1.0), data.get("sigma_sq", 1.0))
-    if variant == "gaussian":
-        _expect_keys(data, {"variant"}, {"lam", "sigma_sq"}, "gaussian kernel")
-        return GaussianKernel(data.get("lam", 1.0), data.get("sigma_sq", 1.0))
-    if variant == "warp":
-        _expect_keys(data, {"variant", "w", "base"}, set(), "warp kernel")
-        base = kernel_from_dict(data["base"])
-        return WarpKernel(w=_function_from(data["w"]), base=base)
-    if variant == "mixture":
-        _expect_keys(data, {"variant", "components"}, set(), "mixture kernel")
-        components = []
-        for comp in data["components"]:
-            _expect_keys(comp, {"sigma", "base"}, set(), "mixture component")
-            components.append((_function_from(comp["sigma"]), kernel_from_dict(comp["base"])))
-        return MixtureKernel(components=tuple(components))
-    if variant == "convolution":
-        _expect_keys(data, {"variant", "lambda_a", "base_iso"}, {"dim"}, "convolution kernel")
-        dim = data.get("dim", 1)
-        if type(dim) is not int or dim != 1:
-            raise ConfigError(f"convolution kernels are 1-D; got dim {dim!r}")
-        return ConvolutionKernel(
-            lambda_a=_function_from(data["lambda_a"]),
-            base_iso=kernel_from_dict(data["base_iso"]),
-        )
-    if variant == "dgp":
-        _expect_keys(
-            data,
-            {"variant", "depth", "layer0", "layers"},
-            {"width", "rescale_warp", "domain"},
-            "hierarchy kernel",
-        )
-        layer0 = data["layer0"]
-        _expect_keys(layer0, {"nu"}, {"lam", "sigma_sq"}, "layer0")
-        return deep.DgpSpec(
-            depth=data["depth"],
-            layer0_nu=layer0["nu"],
-            layer0_lambda=layer0.get("lam", 1.0),
-            layer0_sigma_sq=layer0.get("sigma_sq", 1.0),
-            layers=tuple(_layer_from_dict(layer) for layer in data["layers"]),
-            width=data.get("width", 1),
-            rescale_warp=data.get("rescale_warp", False),
-            domain=_interval(data.get("domain", (0.0, 5.0)), "hierarchy domain"),
-        )
-    raise ConfigError(f"unknown kernel variant {variant!r}")
-
-
-def _layer_from_dict(data: dict) -> deep.LayerSpec:
-    _expect_keys(
-        data,
-        {"construction", "base_nu"},
-        {"base_lambda", "base_sigma_sq", "link_eta", "truncation"},
-        "layer spec",
-    )
-    trunc = None
-    if data.get("truncation") is not None:
-        tdata = data["truncation"]
-        _expect_keys(
-            tdata, {"norm_kind", "order", "radius"}, {"max_rejections"}, "truncation"
-        )
-        trunc = deep.Truncation(
-            norm_kind=tdata["norm_kind"],
-            order=tdata["order"],
-            radius=tdata["radius"],
-            max_rejections=tdata.get("max_rejections", 1000),
-        )
-    return deep.LayerSpec(
-        construction=data["construction"],
-        base_nu=data["base_nu"],
-        base_lambda=data.get("base_lambda", 1.0),
-        base_sigma_sq=data.get("base_sigma_sq", 1.0),
-        link_eta=data.get("link_eta", 1.0),
-        truncation=trunc,
-    )
-
-
-def _function_from(data) -> FunctionHandle:
-    try:
-        return make_function(data)
-    except FunctionSpecError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _decode(KernelSpec | deep.DgpSpec, data, "kernel")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    noise = {"kind": config.noise.kind}
-    if config.noise.kind == "fixed":
-        noise["delta_sq"] = config.noise.delta_sq
-        noise["sample_noise"] = config.noise.sample_noise
-    elif config.noise.kind == "schedule":
-        noise["c_delta"] = config.noise.c_delta
-        noise["exponent"] = config.noise.exponent
-        noise["sample_noise"] = config.noise.sample_noise
-    design = {"kind": config.design.kind}
-    if config.design.kind == "random":
-        design["seed"] = config.design.seed
-    return {
-        "id": config.id,
-        "domain": list(config.domain),
-        "truth": config.truth.to_params(),
-        "kernel": kernel_to_dict(config.kernel),
-        "design": design,
-        "n_schedule": list(config.n_schedule),
-        "noise": noise,
-        "jitter": config.jitter,
-        "eval_mesh_size": config.eval_mesh_size,
-        "norms": list(config.norms),
-        "rate_tail": config.rate_tail,
-    }
+    return _encode(config)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    _expect_keys(
-        data,
-        {"id", "domain", "truth", "kernel", "n_schedule"},
-        {"design", "noise", "jitter", "eval_mesh_size", "norms", "rate_tail"},
-        "experiment config",
-    )
-    design_data = data.get("design", {"kind": "uniform"})
-    _expect_keys(design_data, {"kind"}, {"seed"}, "design")
-    noise_data = data.get("noise", {"kind": "none"})
-    _expect_keys(
-        noise_data, {"kind"}, {"delta_sq", "c_delta", "exponent", "sample_noise"}, "noise"
-    )
-    try:
-        kernel = kernel_from_dict(data["kernel"])
-    except ParameterError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
-    return ExperimentConfig(
-        id=data["id"],
-        domain=data["domain"],
-        truth=_function_from(data["truth"]),
-        kernel=kernel,
-        n_schedule=data["n_schedule"],
-        design=DesignRule(design_data["kind"], design_data.get("seed", 0)),
-        noise=NoiseModel(
-            kind=noise_data["kind"],
-            delta_sq=noise_data.get("delta_sq", 0.0),
-            c_delta=noise_data.get("c_delta", 0.0),
-            exponent=noise_data.get("exponent", 0.0),
-            sample_noise=noise_data.get("sample_noise", True),
-        ),
-        jitter=data.get("jitter", 1e-15),
-        eval_mesh_size=data.get("eval_mesh_size", 4096),
-        norms=tuple(data.get("norms", ("l2", "h1", "sup"))),
-        rate_tail=data.get("rate_tail", 5),
-    )
+    return _decode_object(ExperimentConfig, data, "")
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,33 @@ be serialised to and from JSON.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+SCALAR_TYPES = (float, int, bool, str)
+
+
+def scalar_problem(value, kind: type) -> str | None:
+    """Why ``value`` does not fit a field of type ``kind`` in ``SCALAR_TYPES``,
+    or None.  float takes any real number and int any integral one, never a
+    bool: bool subclasses int, but true/false in a config is not a number."""
+    admits = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
+    if isinstance(value, admits) and (kind is bool or not isinstance(value, bool)):
+        return None
+    return f"expected {kind.__name__}, got {value!r}"
+
 
 class FunctionSpecError(ValueError):
-    """Raised for malformed or non-serialisable function descriptions."""
+    """Raised for malformed or non-serialisable function descriptions;
+    ``key`` names the parameter at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -71,7 +90,9 @@ def _poly2_sin(a: float, b: float, c: float) -> FunctionHandle:
     )
 
 
-def _indicator(lo, hi, scale, include_lo=True, include_hi=True) -> FunctionHandle:
+def _indicator(
+    lo: float, hi: float, scale: float, include_lo: bool = True, include_hi: bool = True
+) -> FunctionHandle:
     def fn(u):
         u = np.asarray(u, dtype=float)
         left = u >= lo if include_lo else u > lo
@@ -95,7 +116,9 @@ def _indicator(lo, hi, scale, include_lo=True, include_hi=True) -> FunctionHandl
     )
 
 
-def _piecewise_poly2(split, a1, b1, c1, a2, b2, c2) -> FunctionHandle:
+def _piecewise_poly2(
+    split: float, a1: float, b1: float, c1: float, a2: float, b2: float, c2: float
+) -> FunctionHandle:
     def fn(u):
         u = np.asarray(u, dtype=float)
         return np.where(
@@ -167,14 +190,17 @@ def make_function(params: dict) -> FunctionHandle:
     """Build a FunctionHandle from its registry description.
 
     ``params`` is a mapping with a ``kind`` key naming the form plus the
-    form's own parameters; unknown kinds and unknown keys are rejected.
+    form's own parameters; unknown kinds and unknown keys are rejected, and
+    each parameter must fit the scalar type its form annotates.
     """
-    if "kind" not in params:
-        raise FunctionSpecError(f"function description missing 'kind': {params}")
-    kind = params["kind"]
-    if kind not in _REGISTRY:
-        raise FunctionSpecError(f"unknown function kind {kind!r}")
+    kind = params.get("kind") if isinstance(params, dict) else None
+    if not isinstance(kind, str) or kind not in _REGISTRY:
+        raise FunctionSpecError(f"function kind must be one of {sorted(_REGISTRY)}: {params!r}")
     kwargs = {k: v for k, v in params.items() if k != "kind"}
+    hints = typing.get_type_hints(_REGISTRY[kind])
+    for key, value in kwargs.items():
+        if hints.get(key) in SCALAR_TYPES and (problem := scalar_problem(value, hints[key])):
+            raise FunctionSpecError(f"{kind!r} parameter {key!r}: {problem}", key)
     try:
         return _REGISTRY[kind](**kwargs)
     except TypeError as exc:

@@ -62,15 +62,35 @@ class TestExitCodes:
             ("eval_mesh_size", 4.5),
             ("rate_tail", "3"),
             ("jitter", "x"),
+            ("jitter", -1.0),
+            ("kernel.base.nu", "x"),
+            ("kernel.base.lam", True),
+            ("noise.sample_noise", "no"),
+            ("design.seed", 1.5),
+            ("id", 7),
+            ("kernel.w.a", "x"),
+            ("dgp:kernel.depth", "x"),
+            ("dgp:kernel.rescale_warp", "yes"),
+            ("dgp:kernel.layers.0.truncation.order", 1.5),
         ],
     )
-    def test_malformed_config_values(self, tmp_path, small_config_path, capsys, key, value):
-        data = json.loads(small_config_path.read_text())
-        data[key] = value
+    def test_malformed_config_values(
+        self, tmp_path, small_config_path, small_dgp_config_path, capsys, key, value
+    ):
+        """Each value exits 2 with a message naming its key path.  A key
+        prefixed "dgp:" is set in the hierarchy config and run by ``dgp``."""
+        command, path = key.split(":") if ":" in key else ("run", key)
+        source = small_dgp_config_path if command == "dgp" else small_config_path
+        data = json.loads(source.read_text())
+        *parents, last = path.split(".")
+        target = data
+        for part in parents:
+            target = target[int(part) if isinstance(target, list) else part]
+        target[last] = value
         bad = tmp_path / "bad_value.json"
         bad.write_text(json.dumps(data))
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        assert main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert path in capsys.readouterr().err
 
     def test_kernel_parameter_out_of_range(self, tmp_path, small_config_path, capsys):
         data = json.loads(small_config_path.read_text())

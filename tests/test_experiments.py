@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,62 @@ class TestSerialisation:
         for config in builtin_figures():
             data = kernel_to_dict(config.kernel)
             assert kernel_from_dict(json.loads(json.dumps(data))) == config.kernel
+
+    def test_committed_configs_parse_to_builtins(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        tdgp = config_from_dict(json.loads((configs / "tdgp_reference.json").read_text()))
+        assert tdgp == reference_tdgp_config()[0]
+        warp = config_from_dict(json.loads((configs / "warp_example.json").read_text()))
+        fig_warp = next(c for c in builtin_figures() if c.id == "fig_warp")
+        assert warp == replace(fig_warp, id="warp_example")
+
+    def test_every_field_written_and_defaults_filled(self):
+        config = _small_config(
+            design=DesignRule("random", seed=4),
+            noise=NoiseModel("fixed", delta_sq=1e-4, sample_noise=False),
+        )
+        data = config_to_dict(config)
+        assert set(data) == {f.name for f in fields(ExperimentConfig)}
+        assert set(data["noise"]) == {f.name for f in fields(NoiseModel)}
+        assert set(data["design"]) == {f.name for f in fields(DesignRule)}
+        assert config_from_dict(json.loads(json.dumps(data))) == config
+        required = {key: data[key] for key in ("id", "domain", "truth", "n_schedule")}
+        sparse = config_from_dict({**required, "kernel": {"variant": "matern", "nu": 1.5}})
+        assert sparse == ExperimentConfig(
+            id="small",
+            domain=(0.0, 5.0),
+            truth=config.truth,
+            kernel=MaternKernel(1.5),
+            n_schedule=config.n_schedule,
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda k: k["layer0"].update(extra=1), "unknown keys ['kernel.layer0.extra']"),
+            (lambda k: k.update(layer0_nu=3.5), "unknown keys ['kernel.layer0_nu']"),
+            (lambda k: k["layer0"].pop("nu"), "missing keys ['kernel.layer0.nu']"),
+            (lambda k: k.update(layer0=[3.5]), "kernel.layer0: expected an object"),
+            (lambda k: k["layers"][0].update(truncation=5), "kernel.layers.0.truncation"),
+            (lambda k: k.update(variant="nope"), "kernel.variant: expected one of"),
+        ],
+        ids=["layer0-extra", "flat-layer0", "layer0-no-nu", "layer0-list", "truncation", "variant"],
+    )
+    def test_hierarchy_layout_errors_name_key_paths(self, edit, message):
+        config, _ = reference_tdgp_config()
+        data = config_to_dict(config)
+        edit(data["kernel"])
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(data)
+        assert message in str(caught.value)
+
+    def test_mixture_component_layout(self):
+        mixture = builtin_figures()[0].kernel
+        data = kernel_to_dict(mixture)
+        assert set(data["components"][0]) == {"sigma", "base"}
+        del data["components"][1]["base"]
+        with pytest.raises(ConfigError, match=r"kernel\.components\.1\.base"):
+            kernel_from_dict(data)
 
 
 class TestRunConvergence:

@@ -51,6 +51,27 @@ class TestRegistry:
         with pytest.raises(FunctionSpecError):
             make_function({"kind": "poly2", "a": 1.0, "b": 0.0, "c": 0.0, "zz": 1})
 
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"kind": "poly2", "a": "x", "b": 0.0, "c": 0.0}, "a"),
+            ({"kind": "poly2", "a": 1.0, "b": True, "c": 0.0}, "b"),
+            ({"kind": "sine", "freq": [2.0]}, "freq"),
+            (
+                {"kind": "indicator", "lo": 0.0, "hi": 1.0, "scale": 1.0, "include_lo": 1},
+                "include_lo",
+            ),
+        ],
+    )
+    def test_parameter_types_checked(self, params, key):
+        with pytest.raises(FunctionSpecError, match=f"parameter '{key}'") as caught:
+            make_function(params)
+        assert caught.value.key == key
+
+    def test_description_must_be_an_object(self):
+        with pytest.raises(FunctionSpecError, match="kind must be one of"):
+            make_function(5)
+
     def test_round_trip_params(self):
         params = {"kind": "sine", "freq": 2.0, "amp": 1.0}
         assert make_function(params).to_params() == params
