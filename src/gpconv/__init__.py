@@ -17,7 +17,6 @@ from .deep import (
     LayerSpec,
     Truncation,
     dgp_posterior_mean,
-    pcn_step,
     sample_dgp_prior,
 )
 from .errors import (

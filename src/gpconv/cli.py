@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import deep, experiments
+from . import experiments
 from .errors import ConfigError, GpconvError
 from .plotting import PlotRequest, render_loglog_svg
 
@@ -64,10 +64,6 @@ def _finish_study(out_dir: Path, config, records, fits):
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
-    if isinstance(config.kernel, deep.DgpSpec):
-        raise ConfigError(
-            f"config {config.id!r} holds a layered hierarchy; use the 'dgp' subcommand"
-        )
     records, fits = experiments.run_convergence(config, args.seed)
     total_ms = sum(r.wall_time_ms for r in records)
     print(f"{config.id}: {len(records)} levels in {total_ms:.0f} ms")
@@ -108,10 +104,6 @@ def cmd_figures(args) -> int:
 
 def cmd_dgp(args) -> int:
     config = _load_config(args.config)
-    if not isinstance(config.kernel, deep.DgpSpec):
-        raise ConfigError(
-            f"config {config.id!r} does not hold a layered hierarchy; use 'run'"
-        )
     mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters, beta=args.beta)
     records, fits = experiments.run_dgp_convergence(config, mcmc, args.seed)
     print(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))

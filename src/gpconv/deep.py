@@ -8,12 +8,16 @@ width-L variant (depth 1) draws L independent initial layers and uses them
 as the coefficients of an L-component mixture.
 
 The layer feeding the final kernel may be truncated to a discrete Hoelder
-or Sobolev norm ball; sampling then rejects and redraws until the ball is
-hit.  Posterior inference over the hidden layers marginalises the final
-layer analytically (the data are conditionally Gaussian given the hidden
-layers) and runs a preconditioned Crank-Nicolson walk on the whitened
-layer coefficients, ``xi' = sqrt(1 - beta^2) xi + beta eta``, accepted by
-the marginal likelihood ratio.  Noise-free data are not supported: the
+or Sobolev norm ball.  There is one prior law: the hidden layers f^0 ..
+f^{D-1} are the image of standard normal coefficients under one forward
+map, and a truncation conditions them jointly on the ball, so a state
+whose constrained layer leaves it is rejected whole.  The prior sampler
+and the chain share that map.  Posterior inference over the hidden layers
+marginalises the final layer analytically (the data are conditionally
+Gaussian given the hidden layers) and runs a preconditioned Crank-Nicolson
+walk on the whitened layer coefficients,
+``xi' = sqrt(1 - beta^2) xi + beta eta``, accepted by the marginal
+likelihood ratio.  Noise-free data are not supported: the
 conditioning is only defined through the noisy likelihood, so callers pass
 a positive (possibly N-dependent) noise level.
 """
@@ -65,7 +69,11 @@ class Truncation:
             raise ParameterError("truncation needs order >= 0, radius > 0, max_rejections >= 1")
 
     def admits(self, values: np.ndarray, mesh: np.ndarray) -> bool:
-        return discrete_norm(values, mesh, self.norm_kind, self.order) <= self.radius
+        """Whether the layer, or each row of a (width, m) layer, is in the ball."""
+        return all(
+            discrete_norm(row, mesh, self.norm_kind, self.order) <= self.radius
+            for row in np.atleast_2d(values)
+        )
 
 
 @dataclass(frozen=True)
@@ -190,51 +198,52 @@ def _check_mesh(mesh, spec: DgpSpec) -> np.ndarray:
     return mesh
 
 
+def _prior_whitened(spec: DgpSpec, m: int, rng) -> list[np.ndarray]:
+    """Standard normal coefficients of the hidden layers: (width, m) or (m,)
+    for f0, then (m,) for each deeper hidden layer."""
+    first = rng.standard_normal((spec.width, m) if spec.width > 1 else m)
+    return [first] + [rng.standard_normal(m) for _ in range(spec.depth - 1)]
+
+
+def _hidden_layers(
+    spec: DgpSpec, mesh: np.ndarray, chol0: np.ndarray, whitened: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The hierarchy's forward map: hidden layers f0 .. f^{D-1} on the mesh
+    from their whitened coefficients (``chol0`` factors the f0 Gram)."""
+    hidden = [_path_draw(chol0, whitened[0])]
+    for layer, xi in zip(spec.layers, whitened[1:]):
+        kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp, spec.domain)
+        hidden.append(_path_draw(_path_cholesky(kernel, mesh), xi))
+    return hidden
+
+
 def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     """One draw of every layer of the hierarchy on the mesh.
 
     Returns [f0, f1, ..., fD]; for width L > 1 the first entry is an
-    (L, m) array of the independent initial layers.  A truncated layer is
-    redrawn until it lands in its norm ball, up to max_rejections; a
-    truncated hierarchy needs a uniform mesh.
+    (L, m) array of the independent initial layers.  With a truncation the
+    hidden layers are conditioned jointly on the ball: the whole hidden
+    state is redrawn until its constrained layer lands in the ball, up to
+    max_rejections, and only then is the final layer drawn.  A truncated
+    hierarchy needs a uniform mesh.
     """
     mesh = _check_mesh(mesh, spec)
     rng = np.random.default_rng(seed)
     chol0 = _path_cholesky(spec.layer0_kernel(), mesh)
-
-    # layers[i].truncation constrains the input layer f^i of transition i;
-    # validation restricts it to the layer feeding the final kernel.
-    trunc0 = spec.layers[0].truncation
-    if spec.width > 1:
-        current = np.vstack(
-            [_draw_truncated(chol0, trunc0, mesh, rng) for _ in range(spec.width)]
-        )
+    trunc = spec.layers[-1].truncation
+    attempts = trunc.max_rejections if trunc is not None else 1
+    for _ in range(attempts):
+        hidden = _hidden_layers(spec, mesh, chol0, _prior_whitened(spec, len(mesh), rng))
+        if trunc is None or trunc.admits(hidden[-1], mesh):
+            break
     else:
-        current = _draw_truncated(chol0, trunc0, mesh, rng)
-    layers = [current]
-
-    for n, layer in enumerate(spec.layers):
-        kernel = layer_kernel(layer, current, mesh, spec.rescale_warp, spec.domain)
-        chol = _path_cholesky(kernel, mesh)
-        trunc = spec.layers[n + 1].truncation if n + 1 < spec.depth else None
-        current = _draw_truncated(chol, trunc, mesh, rng)
-        layers.append(current)
-    return layers
-
-
-def _draw_truncated(
-    chol: np.ndarray, trunc: Truncation | None, mesh: np.ndarray, rng
-) -> np.ndarray:
-    if trunc is None:
-        return _path_draw(chol, rng.standard_normal(len(mesh)))
-    for _ in range(trunc.max_rejections):
-        values = _path_draw(chol, rng.standard_normal(len(mesh)))
-        if trunc.admits(values, mesh):
-            return values
-    raise TruncationError(
-        f"no draw satisfied the norm ball after {trunc.max_rejections} attempts "
-        f"(empirical acceptance rate 0/{trunc.max_rejections}); enlarge the radius"
-    )
+        raise TruncationError(
+            f"no prior draw satisfied the norm ball after {attempts} attempts "
+            f"(empirical acceptance rate 0/{attempts}); enlarge the radius"
+        )
+    final_kernel = layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp, spec.domain)
+    final = _path_draw(_path_cholesky(final_kernel, mesh), rng.standard_normal(len(mesh)))
+    return hidden + [final]
 
 
 class DgpChain:
@@ -246,9 +255,15 @@ class DgpChain:
 
         Phi = 1/2 log det(K_D + delta^2 I) + 1/2 y^T (K_D + delta^2 I)^{-1} y
 
-    with K_D the final-layer Gram matrix at the training points.  Proposals
-    whose kernel assembly fails, or whose constrained layer leaves its norm
-    ball, count as rejections.  A truncated hierarchy needs a uniform mesh.
+    with K_D the final-layer Gram matrix at the training points.  The prior
+    is sample_dgp_prior's: with a truncation the hidden layers are
+    conditioned jointly on the ball, so proposals whose constrained layer
+    leaves it count as rejections, as do proposals whose kernel assembly
+    fails.  The start state is the first prior draw that passes both; for
+    ``rng_seed`` equal to the sampler's seed it holds the sampler's hidden
+    layers whenever that draw assembles.  A truncated hierarchy needs a
+    uniform mesh.  The chain itself never changes ``step_beta``;
+    dgp_posterior_mean tunes it during burn-in.
     The whole trajectory is reproducible from (spec, data, mesh, step_beta,
     rng_seed) at a fixed BLAS thread count and fixed numpy, scipy and
     OpenBLAS versions: a change of either reorders floating-point sums,
@@ -283,20 +298,14 @@ class DgpChain:
         self.n_trunc_rejections = 0
         self.n_assembly_failures = 0
         self.n_accepted = 0
-        self._tuning = False
-        self._window_accepts: list[bool] = []
 
         self._chol0 = _path_cholesky(spec.layer0_kernel(), self.mesh)
-        m = len(self.mesh)
-        shape = (spec.width, m) if spec.width > 1 else (m,)
-
         # Rejection-sample an admissible starting state from the prior.
-        budget = spec.layers[-1].truncation.max_rejections if spec.layers[-1].truncation else 50
+        trunc = spec.layers[-1].truncation
+        budget = trunc.max_rejections if trunc is not None else 50
         state = None
         for _ in range(budget):
-            self.whitened_state = [self.rng.standard_normal(shape)]
-            for _ in range(spec.depth - 1):
-                self.whitened_state.append(self.rng.standard_normal(m))
+            self.whitened_state = _prior_whitened(spec, len(self.mesh), self.rng)
             state = self._assemble(self.whitened_state)
             if state is not None:
                 break
@@ -305,8 +314,6 @@ class DgpChain:
                 f"no admissible starting state found in {budget} prior draws"
             )
         self._current = state
-        self.mean_accumulator = np.zeros(m)
-        self.n_accumulated = 0
 
     # -- state assembly -------------------------------------------------
 
@@ -318,16 +325,9 @@ class DgpChain:
         """
         spec = self.spec
         try:
-            hidden = [_path_draw(self._chol0, whitened[0])]
-            for n in range(1, spec.depth):
-                kernel = layer_kernel(
-                    spec.layers[n - 1], hidden[-1], self.mesh, spec.rescale_warp, spec.domain
-                )
-                chol = _path_cholesky(kernel, self.mesh)
-                hidden.append(_path_draw(chol, whitened[n]))
-
+            hidden = _hidden_layers(spec, self.mesh, self._chol0, whitened)
             trunc = spec.layers[-1].truncation
-            if trunc is not None and not self._admits(trunc, hidden[-1]):
+            if trunc is not None and not trunc.admits(hidden[-1], self.mesh):
                 self.n_trunc_rejections += 1
                 return None
 
@@ -354,10 +354,6 @@ class DgpChain:
             "neg_log_like": neg_log_like,
             "mean": None,
         }
-
-    def _admits(self, trunc: Truncation, values: np.ndarray) -> bool:
-        rows = values[None, :] if values.ndim == 1 else values
-        return all(trunc.admits(row, self.mesh) for row in rows)
 
     def conditional_mean(self) -> np.ndarray:
         """Posterior mean on the mesh given the current hidden layers."""
@@ -401,20 +397,7 @@ class DgpChain:
                 "beta": self.step_beta,
             }
         )
-        if self._tuning:
-            self._window_accepts.append(accepted)
-            if len(self._window_accepts) >= TUNE_WINDOW:
-                rate = sum(self._window_accepts) / len(self._window_accepts)
-                if rate < TUNE_LOW:
-                    self.step_beta = max(self.step_beta / 2.0, 1e-6)
-                elif rate > TUNE_HIGH:
-                    self.step_beta = min(self.step_beta * 2.0, 1.0)
-                self._window_accepts = []
         return accepted
-
-    def accumulate(self):
-        self.mean_accumulator += self.conditional_mean()
-        self.n_accumulated += 1
 
     def trace_csv(self) -> str:
         """Chain trace as CSV text (iteration, log_likelihood, accepted, beta)."""
@@ -427,34 +410,35 @@ class DgpChain:
         return "\n".join(lines) + "\n"
 
 
-def pcn_step(chain: DgpChain) -> DgpChain:
-    """Advance the chain by a single iteration and return it."""
-    chain.step()
-    return chain
-
-
 def dgp_posterior_mean(chain: DgpChain, n_burn: int, n_iter: int) -> np.ndarray:
     """Posterior mean of the final layer on the chain's mesh.
 
-    Runs ``n_burn`` tuning iterations, freezes the step size, then averages
-    the conditional posterior mean over ``n_iter`` further iterations.  If
-    more than half of all proposals violated the truncation ball, a warning
-    is recorded on ``chain.warnings``.
+    Runs ``n_burn`` tuning iterations in windows of TUNE_WINDOW: after each
+    full window the step size is halved if the window's acceptance rate is
+    below TUNE_LOW and doubled if it is above TUNE_HIGH (kept in [1e-6, 1]);
+    a final partial window leaves it as it is.  The step size is then
+    frozen and the conditional posterior mean is averaged over ``n_iter``
+    further iterations.  If more than half of all proposals violated the
+    truncation ball, a warning is recorded on ``chain.warnings``.
     """
     if n_iter < 1:
         raise ParameterError(f"n_iter must be at least 1, got {n_iter}")
     if n_burn < 0:
         raise ParameterError(f"n_burn must be non-negative, got {n_burn}")
-    chain._tuning = True
-    for _ in range(n_burn):
+    for _ in range(n_burn // TUNE_WINDOW):
+        rate = sum(chain.step() for _ in range(TUNE_WINDOW)) / TUNE_WINDOW
+        if rate < TUNE_LOW:
+            chain.step_beta = max(chain.step_beta / 2.0, 1e-6)
+        elif rate > TUNE_HIGH:
+            chain.step_beta = min(chain.step_beta * 2.0, 1.0)
+    for _ in range(n_burn % TUNE_WINDOW):
         chain.step()
-    chain._tuning = False
+    total = np.zeros(len(chain.mesh))
     for _ in range(n_iter):
         chain.step()
-        chain.accumulate()
-    total = chain.iteration
-    if total > 0 and chain.n_trunc_rejections > 0.5 * total:
+        total += chain.conditional_mean()
+    if chain.n_trunc_rejections > 0.5 * chain.iteration:
         chain.warnings.append(
-            f"truncation ball rejected {chain.n_trunc_rejections}/{total} proposals"
+            f"truncation ball rejected {chain.n_trunc_rejections}/{chain.iteration} proposals"
         )
-    return chain.mean_accumulator / chain.n_accumulated
+    return total / n_iter

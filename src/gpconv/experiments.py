@@ -110,6 +110,14 @@ class McmcParams:
     n_iter: int = 2000
     beta: float = 0.25
 
+    def __post_init__(self):
+        if self.n_burn < 0:
+            raise ConfigError(f"n_burn must be non-negative, got {self.n_burn}")
+        if self.n_iter < 1:
+            raise ConfigError(f"n_iter must be at least 1, got {self.n_iter}")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -259,7 +267,8 @@ def run_convergence(
     """Fit the kernel at every schedule level and fit rates per norm."""
     if isinstance(config.kernel, deep.DgpSpec):
         raise ConfigError(
-            f"config {config.id!r} holds a layered hierarchy; use run_dgp_convergence"
+            f"config {config.id!r} holds a layered hierarchy; use run_dgp_convergence "
+            "(the 'dgp' subcommand)"
         )
 
     def fit_level(level, data, mesh):
@@ -278,7 +287,10 @@ def run_dgp_convergence(
     marginal likelihood (and, when sample_noise is on, the observations).
     """
     if not isinstance(config.kernel, deep.DgpSpec):
-        raise ConfigError(f"config {config.id!r} does not hold a layered hierarchy")
+        raise ConfigError(
+            f"config {config.id!r} does not hold a layered hierarchy; use run_convergence "
+            "(the 'run' subcommand)"
+        )
     if config.noise.kind != "schedule":
         raise ConfigError("hierarchy runs need a noise schedule (delta as a power of h)")
 

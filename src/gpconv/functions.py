@@ -22,10 +22,13 @@ SCALAR_TYPES = (float, int, bool, str)
 
 def scalar_problem(value, kind: type) -> str | None:
     """Why ``value`` does not fit a field of type ``kind`` in ``SCALAR_TYPES``,
-    or None.  float takes any real number and int any integral one, never a
-    bool: bool subclasses int, but true/false in a config is not a number."""
+    or None.  float takes any finite real number and int any integral one,
+    never a bool: bool subclasses int, but true/false in a config is not a
+    number, and JSON's NaN and Infinity are no parameter value."""
     admits = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
     if isinstance(value, admits) and (kind is bool or not isinstance(value, bool)):
+        if kind is float and not isinstance(value, numbers.Integral) and not math.isfinite(value):
+            return f"expected a finite float, got {value!r}"
         return None
     return f"expected {kind.__name__}, got {value!r}"
 

@@ -72,6 +72,10 @@ class TestExitCodes:
             ("dgp:kernel.depth", "x"),
             ("dgp:kernel.rescale_warp", "yes"),
             ("dgp:kernel.layers.0.truncation.order", 1.5),
+            ("noise.delta_sq", float("inf")),
+            ("truth.freq", float("inf")),
+            ("dgp:noise.exponent", float("nan")),
+            ("dgp:kernel.layers.0.truncation.radius", float("nan")),
         ],
     )
     def test_malformed_config_values(
@@ -107,6 +111,21 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert main(["dgp", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "depth must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta", "2", "beta must lie in [0, 1]"),
+            ("--iters", "0", "n_iter must be at least 1"),
+            ("--burn", "-1", "n_burn must be non-negative"),
+        ],
+    )
+    def test_chain_flags_out_of_range(
+        self, tmp_path, small_dgp_config_path, capsys, flag, value, message
+    ):
+        argv = ["dgp", "--config", str(small_dgp_config_path), "--out", str(tmp_path)]
+        assert main(argv + [flag, value]) == 2
+        assert message in capsys.readouterr().err
 
     def test_run_rejects_hierarchy_config(self, tmp_path, small_dgp_config_path):
         code = main(["run", "--config", str(small_dgp_config_path), "--out", str(tmp_path)])

@@ -14,7 +14,6 @@ from gpconv.deep import (
     _path_draw,
     dgp_posterior_mean,
     layer_kernel,
-    pcn_step,
     sample_dgp_prior,
 )
 from gpconv.errors import MeshError, ParameterError, SamplingError, TruncationError
@@ -263,10 +262,43 @@ class TestChain:
         mean = dgp_posterior_mean(chain, n_burn=10, n_iter=20)
         np.testing.assert_allclose(mean, 0.0, atol=1e-13)
 
-    def test_pcn_step_returns_advanced_chain(self):
-        chain = DgpChain(_warp_spec(), _training_data(), MESH, 0.3, rng_seed=1)
-        out = pcn_step(chain)
-        assert out is chain and chain.iteration == 1
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _warp_spec(truncation=Truncation("sobolev_discrete", 1, 12.0)),
+            DgpSpec(
+                depth=1, layer0_nu=3.5, width=3, layers=(LayerSpec("mixture_f", base_nu=2.5),)
+            ),
+            DgpSpec(
+                depth=2,
+                layer0_nu=3.5,
+                layers=(
+                    LayerSpec("mixture_f", base_nu=3.5),
+                    LayerSpec(
+                        "mixture_f", base_nu=2.5,
+                        truncation=Truncation("holder_discrete", 0, 1.5),
+                    ),
+                ),
+            ),
+        ],
+        ids=["depth1-truncated", "width3", "depth2-truncated"],
+    )
+    def test_start_state_is_prior_draw(self, spec):
+        """The chain starts from the prior sampler's hidden layers: both run
+        the same forward map and reject whole states outside the ball."""
+        for seed in range(5):
+            chain = DgpChain(spec, _training_data(), MESH, 0.3, rng_seed=seed)
+            prior = sample_dgp_prior(spec, MESH, seed)
+            assert len(chain._current["hidden"]) == spec.depth
+            for got, want in zip(chain._current["hidden"], prior[:-1]):
+                assert np.array_equal(got, want)
+
+    def test_partial_tuning_window_ignored(self):
+        """Two full windows of (near-certain) acceptance double the step
+        twice; the trailing 20 burn-in steps leave it alone."""
+        chain = DgpChain(_warp_spec(), _training_data(), MESH, step_beta=1e-6, rng_seed=4)
+        dgp_posterior_mean(chain, n_burn=120, n_iter=1)
+        assert chain.step_beta == 4e-6
 
     def test_trace_csv_columns(self):
         chain = DgpChain(_warp_spec(), _training_data(), MESH, 0.3, rng_seed=1)
