@@ -65,7 +65,7 @@ class Truncation:
     def __post_init__(self):
         if self.norm_kind not in ("holder_discrete", "sobolev_discrete"):
             raise ParameterError(f"unknown truncation norm {self.norm_kind!r}")
-        if self.order < 0 or self.radius <= 0 or self.max_rejections < 1:
+        if not (self.order >= 0 and self.radius > 0 and self.max_rejections >= 1):
             raise ParameterError("truncation needs order >= 0, radius > 0, max_rejections >= 1")
 
     def admits(self, values: np.ndarray, mesh: np.ndarray) -> bool:
@@ -95,7 +95,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.construction not in ("warp", "mixture_f"):
             raise ParameterError(f"unknown construction {self.construction!r}")
-        if self.construction == "mixture_f" and self.link_eta <= 0:
+        if self.construction == "mixture_f" and not self.link_eta > 0:
             raise ParameterError("link_eta must be positive")
         # base kernel parameters validated by MaternKernel
         self.base_kernel()
@@ -180,9 +180,7 @@ def layer_kernel(
     for row in rows:
         interp = piecewise_linear(mesh, row, label="layer coefficient")
         sigma_fn = FunctionHandle(
-            fn=lambda u, f=interp: f(u) ** 2 + eta,
-            declared_smoothness=interp.declared_smoothness,
-            label=f"F(layer), eta={eta}",
+            fn=lambda u, f=interp: f(u) ** 2 + eta, label=f"F(layer), eta={eta}"
         )
         components.append((sigma_fn, base))
     return MixtureKernel(components=tuple(components))

@@ -2,13 +2,16 @@
 
 Warping maps, mixture coefficients and length-scale fields are all plain
 scalar functions of a scalar input.  A ``FunctionHandle`` wraps the callable
-together with the smoothness the caller asserts for it; built-in handles are
-constructed from a small registry of named forms so experiment configs can
-be serialised to and from JSON.
+together with its description; built-in handles are constructed from a
+small registry of named forms so experiment configs can be serialised to
+and from JSON.  Each form is a plain function whose annotated signature is
+its description: ``make_function`` checks a description against it and the
+form returns only the callable.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import typing
@@ -44,18 +47,16 @@ class FunctionSpecError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """A deterministic scalar function with caller-asserted smoothness.
+    """A deterministic scalar function with its description.
 
-    ``fn`` must accept floats and numpy arrays elementwise.
-    ``declared_smoothness`` is the number of continuous derivatives the
-    caller asserts; it is carried as metadata and never verified here.
-    ``params`` holds the registry description for built-ins (empty for
-    ad-hoc callables, which then cannot be serialised).  Equality compares
-    the description (label, smoothness, params), not callable identity.
+    ``fn`` must accept floats and numpy arrays elementwise.  ``label`` names
+    the function in messages: the registry kind for built-ins.  ``params``
+    holds the registry description for built-ins (empty for ad-hoc
+    callables, which then cannot be serialised).  Equality compares the
+    description (label and params), not callable identity.
     """
 
     fn: Callable = field(compare=False)
-    declared_smoothness: float | None = None
     label: str = ""
     params: dict = field(default_factory=dict)
 
@@ -71,57 +72,33 @@ class FunctionHandle:
         return dict(self.params)
 
 
-def _poly2(a: float, b: float, c: float) -> FunctionHandle:
-    return FunctionHandle(
-        fn=lambda u: (a * np.asarray(u, dtype=float) + b) ** 2 + c,
-        declared_smoothness=math.inf,
-        label=f"({a}*u+{b})^2+{c}",
-        params={"kind": "poly2", "a": a, "b": b, "c": c},
-    )
+def _poly2(a: float, b: float, c: float) -> Callable:
+    return lambda u: (a * np.asarray(u, dtype=float) + b) ** 2 + c
 
 
-def _poly2_sin(a: float, b: float, c: float) -> FunctionHandle:
+def _poly2_sin(a: float, b: float, c: float) -> Callable:
     def fn(u):
         u = np.asarray(u, dtype=float)
         return (a * u + b) ** 2 + np.sin(u) + c
 
-    return FunctionHandle(
-        fn=fn,
-        declared_smoothness=math.inf,
-        label=f"({a}*u+{b})^2+sin(u)+{c}",
-        params={"kind": "poly2_sin", "a": a, "b": b, "c": c},
-    )
+    return fn
 
 
 def _indicator(
     lo: float, hi: float, scale: float, include_lo: bool = True, include_hi: bool = True
-) -> FunctionHandle:
+) -> Callable:
     def fn(u):
         u = np.asarray(u, dtype=float)
         left = u >= lo if include_lo else u > lo
         right = u <= hi if include_hi else u < hi
         return scale * (left & right).astype(float)
 
-    lb = "[" if include_lo else "("
-    rb = "]" if include_hi else ")"
-    return FunctionHandle(
-        fn=fn,
-        declared_smoothness=0.0,
-        label=f"{scale}*1_{lb}{lo},{hi}{rb}",
-        params={
-            "kind": "indicator",
-            "lo": lo,
-            "hi": hi,
-            "scale": scale,
-            "include_lo": include_lo,
-            "include_hi": include_hi,
-        },
-    )
+    return fn
 
 
 def _piecewise_poly2(
     split: float, a1: float, b1: float, c1: float, a2: float, b2: float, c2: float
-) -> FunctionHandle:
+) -> Callable:
     def fn(u):
         u = np.asarray(u, dtype=float)
         return np.where(
@@ -130,55 +107,26 @@ def _piecewise_poly2(
             (a2 * u + b2) ** 2 + c2,
         )
 
-    return FunctionHandle(
-        fn=fn,
-        declared_smoothness=0.0,
-        label=f"poly2 split at {split}",
-        params={
-            "kind": "piecewise_poly2",
-            "split": split,
-            "a1": a1,
-            "b1": b1,
-            "c1": c1,
-            "a2": a2,
-            "b2": b2,
-            "c2": c2,
-        },
-    )
+    return fn
 
 
-def _sine(freq: float = 1.0, amp: float = 1.0) -> FunctionHandle:
-    return FunctionHandle(
-        fn=lambda u: amp * np.sin(freq * np.asarray(u, dtype=float)),
-        declared_smoothness=math.inf,
-        label=f"{amp}*sin({freq}*u)",
-        params={"kind": "sine", "freq": freq, "amp": amp},
-    )
+def _sine(freq: float = 1.0, amp: float = 1.0) -> Callable:
+    return lambda u: amp * np.sin(freq * np.asarray(u, dtype=float))
 
 
-def _constant(value: float) -> FunctionHandle:
+def _constant(value: float) -> Callable:
     def fn(u):
         u = np.asarray(u, dtype=float)
         return np.full_like(u, float(value))
 
-    return FunctionHandle(
-        fn=fn,
-        declared_smoothness=math.inf,
-        label=f"const {value}",
-        params={"kind": "constant", "value": value},
-    )
+    return fn
 
 
-def _identity() -> FunctionHandle:
-    return FunctionHandle(
-        fn=lambda u: np.asarray(u, dtype=float),
-        declared_smoothness=math.inf,
-        label="u",
-        params={"kind": "identity"},
-    )
+def _identity() -> Callable:
+    return lambda u: np.asarray(u, dtype=float)
 
 
-_REGISTRY: dict[str, Callable[..., FunctionHandle]] = {
+_REGISTRY: dict[str, Callable[..., Callable]] = {
     "poly2": _poly2,
     "poly2_sin": _poly2_sin,
     "indicator": _indicator,
@@ -193,21 +141,28 @@ def make_function(params: dict) -> FunctionHandle:
     """Build a FunctionHandle from its registry description.
 
     ``params`` is a mapping with a ``kind`` key naming the form plus the
-    form's own parameters; unknown kinds and unknown keys are rejected, and
-    each parameter must fit the scalar type its form annotates.
+    form's own parameters; unknown kinds, unknown keys and missing keys are
+    rejected, and each parameter must fit the scalar type its form
+    annotates.  The handle's ``params`` list every argument in signature
+    order, defaults filled in.
     """
     kind = params.get("kind") if isinstance(params, dict) else None
     if not isinstance(kind, str) or kind not in _REGISTRY:
         raise FunctionSpecError(f"function kind must be one of {sorted(_REGISTRY)}: {params!r}")
+    form = _REGISTRY[kind]
     kwargs = {k: v for k, v in params.items() if k != "kind"}
-    hints = typing.get_type_hints(_REGISTRY[kind])
+    hints = typing.get_type_hints(form)
     for key, value in kwargs.items():
         if hints.get(key) in SCALAR_TYPES and (problem := scalar_problem(value, hints[key])):
             raise FunctionSpecError(f"{kind!r} parameter {key!r}: {problem}", key)
     try:
-        return _REGISTRY[kind](**kwargs)
+        bound = inspect.signature(form).bind(**kwargs)
     except TypeError as exc:
         raise FunctionSpecError(f"bad parameters for {kind!r}: {exc}") from exc
+    bound.apply_defaults()
+    return FunctionHandle(
+        fn=form(**bound.arguments), label=kind, params={"kind": kind, **bound.arguments}
+    )
 
 
 def piecewise_linear(mesh: np.ndarray, values: np.ndarray, label: str = "") -> FunctionHandle:
@@ -222,6 +177,5 @@ def piecewise_linear(mesh: np.ndarray, values: np.ndarray, label: str = "") -> F
         raise FunctionSpecError("mesh and values must be 1-D arrays of equal length")
     return FunctionHandle(
         fn=lambda u: np.interp(np.asarray(u, dtype=float), mesh, values),
-        declared_smoothness=0.0,
         label=label or "piecewise-linear",
     )

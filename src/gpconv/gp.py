@@ -47,7 +47,7 @@ class TrainingData:
             raise ParameterError(
                 f"got {len(pts)} points but {len(vals)} values"
             )
-        if self.noise_var < 0:
+        if not self.noise_var >= 0:
             raise ParameterError(f"noise_var must be non-negative, got {self.noise_var}")
         if self.noise_var == 0.0 and len(np.unique(pts)) != len(pts):
             raise ParameterError("points must be pairwise distinct when noise_var = 0")
@@ -90,7 +90,7 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
     SingularGramError naming the escalated jitter and the smallest
     eigenvalue of the matrix that failed to factor.
     """
-    if jitter < 0:
+    if not jitter >= 0:
         raise ParameterError(f"jitter must be non-negative, got {jitter}")
     gram_matrix = gram(spec, data.points)
     eye = np.eye(data.n)

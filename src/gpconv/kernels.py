@@ -182,14 +182,10 @@ def matern_eval(nu: float, lam: float, sigma_sq: float, r: float) -> float:
     singularity there).  Half-integer orders use the closed form; other
     orders go through the Bessel-function representation.
     """
-    if not nu > 0:
-        raise ParameterError(f"nu must be positive, got {nu}")
-    _check_positive(lam=lam, sigma_sq=sigma_sq)
+    spec = GaussianKernel(lam, sigma_sq) if nu == math.inf else MaternKernel(nu, lam, sigma_sq)
     if r < 0:
         raise ParameterError(f"distance must be non-negative, got {r}")
-    if math.isinf(nu):
-        return float(sigma_sq * math.exp(-(r * r) / (2.0 * lam * lam)))
-    return float(_matern_profile(nu, lam, sigma_sq, np.asarray(r, dtype=float)))
+    return float(_stationary_profile(spec, np.asarray(r, dtype=float)))
 
 
 def _stationary_profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -208,69 +204,76 @@ def _eval_fn(handle: FunctionHandle, x: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
-    """Cross-covariance matrix k(a_i, b_j); with b omitted, the Gram matrix.
+def _outer(x: np.ndarray, y: np.ndarray):
+    return x[:, None], y[None, :]
 
-    Points are 1-D: a scalar is one point, a vector is a point set, and an
-    array with more than one dimension raises ParameterError.  The Gram case
-    is exactly symmetric: every entry is assembled from expressions
-    symmetric in (i, j).
+
+def _elementwise(x: np.ndarray, y: np.ndarray):
+    return x, y
+
+
+def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pair) -> np.ndarray:
+    """k(ua, ub) for two 1-D point vectors under the pairing rule ``pair``.
+
+    ``pair(x, y)`` shapes two per-point vectors to broadcast together:
+    ``_outer`` gives the matrix k(ua_i, ub_j), ``_elementwise`` the vector
+    k(ua_i, ub_i).  When ``ub is ua``, per-point values (warped points,
+    coefficients, length scales) are computed once and paired with
+    themselves, so every Gram entry is assembled from expressions symmetric
+    in (i, j) and the matrix is exactly symmetric.
     """
-    ua = _as_points(a)
-    ub = ua if b is None else _as_points(b)
-
+    same = ub is ua
     if is_stationary(spec):
-        return _stationary_profile(spec, np.abs(ua[:, None] - ub[None, :]))
+        x, y = pair(ua, ub)
+        return _stationary_profile(spec, np.abs(x - y))
 
     if isinstance(spec, WarpKernel):
         wa = _eval_fn(spec.w, ua, "warping function")
-        wb = wa if b is None else _eval_fn(spec.w, ub, "warping function")
-        return _stationary_profile(spec.base, np.abs(wa[:, None] - wb[None, :]))
+        wb = wa if same else _eval_fn(spec.w, ub, "warping function")
+        return _evaluate(spec.base, wa, wb, pair)
 
     if isinstance(spec, MixtureKernel):
-        out = np.zeros((len(ua), len(ub)))
+        out = np.zeros(np.broadcast(*pair(ua, ub)).shape)
         for sigma_fn, base in spec.components:
             sa = _eval_fn(sigma_fn, ua, "mixture coefficient")
-            sb = sa if b is None else _eval_fn(sigma_fn, ub, "mixture coefficient")
-            out += (sa[:, None] * sb[None, :]) * kernel_matrix(base, ua, None if b is None else ub)
+            sb = sa if same else _eval_fn(sigma_fn, ub, "mixture coefficient")
+            x, y = pair(sa, sb)
+            out += (x * y) * _evaluate(base, ua, ub, pair)
         return out
 
     if isinstance(spec, ConvolutionKernel):
         la = _eval_fn(spec.lambda_a, ua, "length-scale function")
-        lb = la if b is None else _eval_fn(spec.lambda_a, ub, "length-scale function")
+        lb = la if same else _eval_fn(spec.lambda_a, ub, "length-scale function")
         if np.any(la <= 0) or np.any(lb <= 0):
             raise DomainError("length-scale function must be strictly positive")
-        mean_l = 0.5 * (la[:, None] + lb[None, :])
         # sqrt(2) la^(1/4) lb^(1/4) assembled as (2 la)^(1/4) (2 lb)^(1/4)
         # so every factor is symmetric in (i, j) down to the last ulp
         sa = (2.0 * la) ** 0.25
-        sb = sa if b is None else (2.0 * lb) ** 0.25
-        prefactor = (sa[:, None] * sb[None, :]) * (la[:, None] + lb[None, :]) ** -0.5
-        scaled = np.abs(ua[:, None] - ub[None, :]) / np.sqrt(mean_l)
+        sb = sa if same else (2.0 * lb) ** 0.25
+        (sa, sb), (la, lb), (x, y) = pair(sa, sb), pair(la, lb), pair(ua, ub)
+        prefactor = (sa * sb) * (la + lb) ** -0.5
+        scaled = np.abs(x - y) / np.sqrt(0.5 * (la + lb))
         return prefactor * _stationary_profile(spec.base_iso, scaled)
 
     raise UnsupportedKernelError(f"unknown kernel spec {type(spec).__name__}")
 
 
+def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
+    """Cross-covariance matrix k(a_i, b_j); with b omitted, the Gram matrix.
+
+    Points are 1-D: a scalar is one point, a vector is a point set, and an
+    array with more than one dimension raises ParameterError.  The Gram case
+    is exactly symmetric.
+    """
+    ua = _as_points(a)
+    return _evaluate(spec, ua, ua if b is None else _as_points(b), _outer)
+
+
 def kernel_diag(spec: KernelSpec, points) -> np.ndarray:
-    """Vector of k(p_i, p_i); the convolution prefactor is 1 on the diagonal."""
+    """Vector of k(p_i, p_i), bit for bit the Gram diagonal: the same
+    expressions as ``kernel_matrix`` under ``_evaluate``'s elementwise pairing."""
     pts = _as_points(points)
-    if is_stationary(spec):
-        return np.full(len(pts), float(_stationary_profile(spec, np.zeros(1))[0]))
-    if isinstance(spec, WarpKernel):
-        return np.full(len(pts), float(_stationary_profile(spec.base, np.zeros(1))[0]))
-    if isinstance(spec, MixtureKernel):
-        out = np.zeros(len(pts))
-        for sigma_fn, base in spec.components:
-            sig = _eval_fn(sigma_fn, pts, "mixture coefficient")
-            out += sig * sig * kernel_diag(base, pts)
-        return out
-    if isinstance(spec, ConvolutionKernel):
-        lam_vals = _eval_fn(spec.lambda_a, pts, "length-scale function")
-        if np.any(lam_vals <= 0):
-            raise DomainError("length-scale function must be strictly positive")
-        return np.full(len(pts), float(_stationary_profile(spec.base_iso, np.zeros(1))[0]))
-    raise UnsupportedKernelError(f"unknown kernel spec {type(spec).__name__}")
+    return _evaluate(spec, pts, pts, _elementwise)
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:
@@ -291,7 +294,7 @@ def check_psd(spec: KernelSpec, points, tol: float) -> tuple[bool, float]:
 
     Returns the verdict together with the smallest eigenvalue.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     eigenvalues = np.linalg.eigvalsh(gram(spec, points))
     smallest = float(eigenvalues[0])

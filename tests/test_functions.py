@@ -101,3 +101,38 @@ class TestPiecewiseLinear:
     def test_shape_mismatch(self):
         with pytest.raises(FunctionSpecError):
             piecewise_linear(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        ({"kind": "poly2", "c": 3.0, "b": 2.0, "a": 1.0},
+         {"kind": "poly2", "a": 1.0, "b": 2.0, "c": 3.0}),
+        ({"kind": "poly2_sin", "b": -3.0, "a": 1.0, "c": 4.0},
+         {"kind": "poly2_sin", "a": 1.0, "b": -3.0, "c": 4.0}),
+        ({"kind": "indicator", "scale": 0.5, "hi": 2.0, "lo": 0.0},
+         {"kind": "indicator", "lo": 0.0, "hi": 2.0, "scale": 0.5,
+          "include_lo": True, "include_hi": True}),
+        ({"kind": "indicator", "include_hi": False, "lo": 0.0, "hi": 2.0, "scale": 0.5},
+         {"kind": "indicator", "lo": 0.0, "hi": 2.0, "scale": 0.5,
+          "include_lo": True, "include_hi": False}),
+        ({"kind": "piecewise_poly2", "c2": 0.0, "b2": 0.1, "a2": 1.0, "c1": 0.0,
+          "b1": 0.1, "a1": 0.2, "split": 2.5},
+         {"kind": "piecewise_poly2", "split": 2.5, "a1": 0.2, "b1": 0.1, "c1": 0.0,
+          "a2": 1.0, "b2": 0.1, "c2": 0.0}),
+        ({"kind": "sine"}, {"kind": "sine", "freq": 1.0, "amp": 1.0}),
+        ({"kind": "sine", "amp": 2.0}, {"kind": "sine", "freq": 1.0, "amp": 2.0}),
+        ({"kind": "constant", "value": 1.5}, {"kind": "constant", "value": 1.5}),
+        ({"kind": "identity"}, {"kind": "identity"}),
+    ],
+)
+def test_round_trip_fills_defaults_in_signature_order(params, expected):
+    handle = make_function(params)
+    assert list(handle.to_params().items()) == list(expected.items())
+    assert handle.label == params["kind"]
+    assert make_function(handle.to_params()) == handle
+
+
+def test_missing_parameter_rejected():
+    with pytest.raises(FunctionSpecError, match="missing a required argument: 'b'"):
+        make_function({"kind": "poly2", "a": 1.0, "c": 0.0})

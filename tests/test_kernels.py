@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from gpconv.bessel import log_bessel_k
@@ -300,3 +302,75 @@ class TestDerivativeBoundConstant:
         spec = WarpKernel(w=IDENTITY, base=GaussianKernel())
         with pytest.raises(ParameterError):
             derivative_bound_constant(spec, 1, {})
+
+
+class TestMaternEvalOrders:
+    @pytest.mark.parametrize("nu", [-math.inf, math.nan])
+    def test_non_positive_or_nan_order_rejected(self, nu):
+        with pytest.raises(ParameterError):
+            matern_eval(nu, 1.0, 1.0, 0.5)
+
+
+_REAL = st.floats(-2.0, 2.0)
+_POSITIVE = st.floats(0.1, 2.0)
+_DESCRIPTIONS = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["poly2", "poly2_sin"]),
+                           "a": _REAL, "b": _REAL, "c": _REAL}),
+    st.fixed_dictionaries({"kind": st.just("indicator"), "lo": _REAL, "hi": _REAL,
+                           "scale": _REAL, "include_lo": st.booleans(),
+                           "include_hi": st.booleans()}),
+    st.fixed_dictionaries({"kind": st.just("piecewise_poly2"), "split": _REAL,
+                           **{k: _REAL for k in ("a1", "b1", "c1", "a2", "b2", "c2")}}),
+    st.fixed_dictionaries({"kind": st.just("sine"), "freq": _REAL, "amp": _REAL}),
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _REAL}),
+    st.just({"kind": "identity"}),
+)
+# strictly positive on the real line, as a length-scale field must be
+_POSITIVE_DESCRIPTIONS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("poly2"), "a": _REAL, "b": _REAL, "c": _POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _POSITIVE}),
+)
+_MATERN = st.builds(
+    MaternKernel, st.sampled_from([0.5, 1.5, 2.5, 3.5, 0.8, 3.0]), st.floats(0.2, 3.0), _POSITIVE
+)
+_GAUSSIAN = st.builds(GaussianKernel, st.floats(0.2, 3.0), _POSITIVE)
+_STATIONARY = st.one_of(_MATERN, _GAUSSIAN)
+_FUNCTIONS = st.builds(make_function, _DESCRIPTIONS)
+_VARIANTS = {
+    "matern": _MATERN,
+    "gaussian": _GAUSSIAN,
+    "warp": st.builds(WarpKernel, _FUNCTIONS, _STATIONARY),
+    "mixture": st.builds(
+        MixtureKernel, st.lists(st.tuples(_FUNCTIONS, _STATIONARY), min_size=1, max_size=3)
+    ),
+    "convolution": st.builds(
+        ConvolutionKernel, st.builds(make_function, _POSITIVE_DESCRIPTIONS), _STATIONARY
+    ),
+}
+_POINTS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40).map(np.array)
+_PROPERTY = settings(derandomize=True, database=None, max_examples=15, deadline=None)
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+class TestKernelProperties:
+    """Random registry parameters and random 1-D point sets, N <= 40."""
+
+    @_PROPERTY
+    @given(data=st.data(), pts=_POINTS)
+    def test_gram_exactly_symmetric(self, variant, data, pts):
+        matrix = gram(data.draw(_VARIANTS[variant]), pts)
+        assert np.array_equal(matrix, matrix.T)
+
+    @_PROPERTY
+    @given(data=st.data(), pts=_POINTS)
+    def test_gram_psd(self, variant, data, pts):
+        spec = data.draw(_VARIANTS[variant])
+        tol = max(1e-10 * len(pts) * kernel_diag(spec, pts).max(), np.finfo(float).tiny)
+        ok, smallest = check_psd(spec, pts, tol)
+        assert ok, f"smallest eigenvalue {smallest}, tol {tol}"
+
+    @_PROPERTY
+    @given(data=st.data(), pts=_POINTS)
+    def test_diag_is_gram_diagonal_bit_for_bit(self, variant, data, pts):
+        spec = data.draw(_VARIANTS[variant])
+        assert np.array_equal(kernel_diag(spec, pts), np.diag(kernel_matrix(spec, pts)))
