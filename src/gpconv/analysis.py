@@ -128,7 +128,12 @@ def discrete_norm(values, mesh, kind: str, order: int) -> float:
         raise MeshError("values and mesh must have matching shapes")
     if mesh.size < order + 2:
         raise MeshError(f"mesh must hold at least order + 2 = {order + 2} points")
-    h = _mesh_spacing(mesh)
+    return _spaced_norm(values, _mesh_spacing(mesh), kind, order)
+
+
+def _spaced_norm(values: np.ndarray, h: float, kind: str, order: int) -> float:
+    """``discrete_norm`` of values on a uniform mesh of known spacing h > 0,
+    without validating the mesh; for callers that validated it once."""
     derivatives = _difference_derivatives(values, h, order)
     if kind == "sobolev_discrete":
         total = sum(float(np.trapezoid(d * d, dx=h)) for d in derivatives)

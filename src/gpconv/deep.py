@@ -24,12 +24,13 @@ a positive (possibly N-dependent) noise level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from .analysis import _mesh_spacing, discrete_norm
+from .analysis import _mesh_spacing, _spaced_norm
 from .errors import (
     DomainError,
     EvaluationError,
@@ -65,13 +66,21 @@ class Truncation:
     def __post_init__(self):
         if self.norm_kind not in ("holder_discrete", "sobolev_discrete"):
             raise ParameterError(f"unknown truncation norm {self.norm_kind!r}")
-        if not (self.order >= 0 and self.radius > 0 and self.max_rejections >= 1):
-            raise ParameterError("truncation needs order >= 0, radius > 0, max_rejections >= 1")
+        if not (
+            self.order >= 0 and 0 < self.radius < math.inf and self.max_rejections >= 1
+        ):
+            raise ParameterError(
+                "truncation needs order >= 0, a finite radius > 0, max_rejections >= 1"
+            )
 
-    def admits(self, values: np.ndarray, mesh: np.ndarray) -> bool:
-        """Whether the layer, or each row of a (width, m) layer, is in the ball."""
+    def admits(self, values: np.ndarray, spacing: float) -> bool:
+        """Whether the layer, or each row of a (width, m) layer, is in the ball.
+
+        ``values`` lie on a uniform mesh of the given spacing, validated
+        once by ``_check_mesh`` rather than on every call.
+        """
         return all(
-            discrete_norm(row, mesh, self.norm_kind, self.order) <= self.radius
+            _spaced_norm(row, spacing, self.norm_kind, self.order) <= self.radius
             for row in np.atleast_2d(values)
         )
 
@@ -95,8 +104,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.construction not in ("warp", "mixture_f"):
             raise ParameterError(f"unknown construction {self.construction!r}")
-        if self.construction == "mixture_f" and not self.link_eta > 0:
-            raise ParameterError("link_eta must be positive")
+        if self.construction == "mixture_f" and not 0 < self.link_eta < math.inf:
+            raise ParameterError("link_eta must be positive and finite")
         # base kernel parameters validated by MaternKernel
         self.base_kernel()
 
@@ -186,14 +195,15 @@ def layer_kernel(
     return MixtureKernel(components=tuple(components))
 
 
-def _check_mesh(mesh, spec: DgpSpec) -> np.ndarray:
-    """A sorted 1-D mesh, uniform too if truncated (the discrete norms need it)."""
+def _check_mesh(mesh, spec: DgpSpec) -> tuple[np.ndarray, float | None]:
+    """A sorted 1-D mesh and, if truncated, its spacing: the discrete norms
+    need a uniform mesh.  The spacing is None for an untruncated hierarchy."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
-    if spec.layers[-1].truncation is not None:
-        _mesh_spacing(mesh)
-    return mesh
+    if spec.layers[-1].truncation is None:
+        return mesh, None
+    return mesh, _mesh_spacing(mesh)
 
 
 def _prior_whitened(spec: DgpSpec, m: int, rng) -> list[np.ndarray]:
@@ -225,14 +235,14 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     max_rejections, and only then is the final layer drawn.  A truncated
     hierarchy needs a uniform mesh.
     """
-    mesh = _check_mesh(mesh, spec)
+    mesh, spacing = _check_mesh(mesh, spec)
     rng = np.random.default_rng(seed)
     chol0 = _path_cholesky(spec.layer0_kernel(), mesh)
     trunc = spec.layers[-1].truncation
     attempts = trunc.max_rejections if trunc is not None else 1
     for _ in range(attempts):
         hidden = _hidden_layers(spec, mesh, chol0, _prior_whitened(spec, len(mesh), rng))
-        if trunc is None or trunc.admits(hidden[-1], mesh):
+        if trunc is None or trunc.admits(hidden[-1], spacing):
             break
     else:
         raise TruncationError(
@@ -286,7 +296,7 @@ class DgpChain:
             raise ParameterError(f"step_beta must lie in [0, 1], got {step_beta}")
         self.spec = spec
         self.data = data
-        self.mesh = _check_mesh(mesh, spec)
+        self.mesh, self._spacing = _check_mesh(mesh, spec)
         self.step_beta = float(step_beta)
         self.rng_seed = int(rng_seed)
         self.rng = np.random.default_rng(rng_seed)
@@ -325,7 +335,7 @@ class DgpChain:
         try:
             hidden = _hidden_layers(spec, self.mesh, self._chol0, whitened)
             trunc = spec.layers[-1].truncation
-            if trunc is not None and not trunc.admits(hidden[-1], self.mesh):
+            if trunc is not None and not trunc.admits(hidden[-1], self._spacing):
                 self.n_trunc_rejections += 1
                 return None
 

@@ -80,10 +80,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "fixed", "schedule"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "fixed" and not self.delta_sq > 0:
-            raise ConfigError("fixed noise requires delta_sq > 0")
-        if self.kind == "schedule" and not self.c_delta > 0:
-            raise ConfigError("noise schedule requires c_delta > 0")
+        if self.kind == "fixed" and not 0 < self.delta_sq < math.inf:
+            raise ConfigError("fixed noise requires a finite delta_sq > 0")
+        if self.kind == "schedule" and not 0 < self.c_delta < math.inf:
+            raise ConfigError("noise schedule requires a finite c_delta > 0")
 
     def level(self, h: float) -> float:
         """Noise variance delta^2 at fill distance h."""

@@ -15,6 +15,7 @@ share one factorisation, ``_path_cholesky``, and one product, ``_path_draw``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,15 @@ from scipy import linalg
 from scipy.linalg import blas
 
 from .errors import ParameterError, SamplingError, SingularGramError
-from .kernels import KernelSpec, gram, kernel_diag, kernel_matrix
+from .kernels import KernelSpec, _as_points, gram, kernel_diag, kernel_matrix
 
 DEFAULT_JITTER = 1e-15
 JITTER_ESCALATION = 1000.0
 VARIANCE_CLAMP = 1e-8
 PATH_JITTER_SCALE = 1e-12
+# Query rows per cross-matrix block in posterior_mean: a 256 x N block at
+# N <= 1024 is at most 2 MB, so its temporaries stay in cache.
+PREDICT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,10 @@ class TrainingData:
             raise ParameterError(
                 f"got {len(pts)} points but {len(vals)} values"
             )
-        if not self.noise_var >= 0:
-            raise ParameterError(f"noise_var must be non-negative, got {self.noise_var}")
+        if not 0 <= self.noise_var < math.inf:
+            raise ParameterError(
+                f"noise_var must be non-negative and finite, got {self.noise_var}"
+            )
         if self.noise_var == 0.0 and len(np.unique(pts)) != len(pts):
             raise ParameterError("points must be pairwise distinct when noise_var = 0")
         object.__setattr__(self, "points", pts)
@@ -90,12 +96,13 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
     SingularGramError naming the escalated jitter and the smallest
     eigenvalue of the matrix that failed to factor.
     """
-    if not jitter >= 0:
-        raise ParameterError(f"jitter must be non-negative, got {jitter}")
+    if not 0 <= jitter < math.inf:
+        raise ParameterError(f"jitter must be non-negative and finite, got {jitter}")
     gram_matrix = gram(spec, data.points)
-    eye = np.eye(data.n)
     for escalated, jitter_used in ((False, jitter), (True, jitter * JITTER_ESCALATION)):
-        regularised = gram_matrix + (data.noise_var + jitter_used) * eye
+        # the ridge goes on the diagonal of a copy, bit for bit K + s I
+        regularised = gram_matrix.copy()
+        regularised.flat[:: data.n + 1] += data.noise_var + jitter_used
         try:
             factor = _cholesky_lower(regularised)
             break
@@ -122,9 +129,30 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
 
 
 def posterior_mean(post: GpPosterior, query) -> np.ndarray:
-    """Posterior mean at the query points."""
-    cross = kernel_matrix(post.spec, query, post.data.points)
-    return cross @ post.weights
+    """Posterior mean at the query points.
+
+    The query is taken in blocks of ``PREDICT_BLOCK_ROWS`` = 256 points;
+    each block's rows of the cross matrix k(query, U) are built and
+    multiplied by the weights on their own, so no query-sized matrix is
+    ever held.  A cross-matrix entry depends only on its own pair of
+    points, and at one BLAS thread a row's product with the weights does
+    not depend on the rows around it as long as blocks start at multiples
+    of 4 and no block is a lone row (numpy sends a one-row product to dot,
+    not gemv, so a lone last row joins the block before).  So at one BLAS
+    thread the result is bit-identical to ``kernel_matrix(spec, query, U)
+    @ weights``.  With more threads OpenBLAS splits each product by its
+    height, and the last bits can differ from the unblocked product.
+    """
+    query = _as_points(query)
+    n = len(query)
+    mean = np.empty(n)
+    start = 0
+    while start < n:
+        stop = n if n - start <= PREDICT_BLOCK_ROWS + 1 else start + PREDICT_BLOCK_ROWS
+        cross = kernel_matrix(post.spec, query[start:stop], post.data.points)
+        np.matmul(cross, post.weights, out=mean[start:stop])
+        start = stop
+    return mean
 
 
 def posterior_cov(post: GpPosterior, u, v) -> float:
@@ -168,8 +196,9 @@ def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Gram matrix on the mesh plus the path jitter."""
     gram_matrix = gram(spec, mesh)
     path_jitter = PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
+    gram_matrix.flat[:: len(gram_matrix) + 1] += path_jitter
     try:
-        return _cholesky_lower(gram_matrix + path_jitter * np.eye(len(gram_matrix)))
+        return _cholesky_lower(gram_matrix)
     except np.linalg.LinAlgError as exc:
         raise SamplingError(
             f"prior covariance on the mesh is not factorable even with "

@@ -208,8 +208,33 @@ def _outer(x: np.ndarray, y: np.ndarray):
     return x[:, None], y[None, :]
 
 
+def _nonzero(mask: np.ndarray):
+    """Indexer of the nonzero entries of ``mask``: a full slice, which
+    selects by view, when none is zero."""
+    idx = np.flatnonzero(mask)
+    return slice(None) if idx.size == mask.size else idx
+
+
+def _outer_support(sa: np.ndarray, sb: np.ndarray):
+    """Rows, columns and cells of the outer product sa_i sb_j that can be nonzero."""
+    rows = _nonzero(sa)
+    cols = rows if sb is sa else _nonzero(sb)
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols, (rows, cols)
+    return rows, cols, np.ix_(rows, cols)
+
+
 def _elementwise(x: np.ndarray, y: np.ndarray):
     return x, y
+
+
+def _elementwise_support(sa: np.ndarray, sb: np.ndarray):
+    """Entries of the elementwise product sa_i sb_i that can be nonzero."""
+    both = _nonzero((sa != 0.0) & (sb != 0.0))
+    return both, both, both
+
+
+_SUPPORT = {_outer: _outer_support, _elementwise: _elementwise_support}
 
 
 def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pair) -> np.ndarray:
@@ -221,6 +246,19 @@ def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pair) -> np.ndar
     coefficients, length scales) are computed once and paired with
     themselves, so every Gram entry is assembled from expressions symmetric
     in (i, j) and the matrix is exactly symmetric.
+
+    A mixture evaluates each component's base kernel only where its
+    coefficient product can be nonzero, as the pairing's support rule in
+    ``_SUPPORT`` selects: the rows and columns where sigma_l is nonzero
+    for ``_outer``, the entries where both factors are for
+    ``_elementwise``.  It adds the result into those entries of ``out`` and
+    skips a component with none.  A skipped term is
+    sigma_l(ua_i) sigma_l(ub_j) k_l(ua_i, ub_j) = +-0 for finite k_l;
+    adding +-0 changes no value (``out`` starts at +0, and +0 + -0 = +0),
+    and the components still accumulate in order, so the result is
+    bit-identical to the sum of every component's full product.  The
+    indicator coefficients of ``fig_mix3_indicator`` leave out about 84%
+    of its nu = 3 component's Bessel entries this way.
     """
     same = ub is ua
     if is_stationary(spec):
@@ -237,8 +275,14 @@ def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pair) -> np.ndar
         for sigma_fn, base in spec.components:
             sa = _eval_fn(sigma_fn, ua, "mixture coefficient")
             sb = sa if same else _eval_fn(sigma_fn, ub, "mixture coefficient")
-            x, y = pair(sa, sb)
-            out += (x * y) * _evaluate(base, ua, ub, pair)
+            ia, ib, cells = _SUPPORT[pair](sa, sb)
+            # sub-arrays taken once when same, so the base stays symmetric
+            va = ua[ia]
+            vb = va if same else ub[ib]
+            if va.size == 0 or vb.size == 0:
+                continue
+            x, y = pair(sa[ia], sb[ib])
+            out[cells] += (x * y) * _evaluate(base, va, vb, pair)
         return out
 
     if isinstance(spec, ConvolutionKernel):
@@ -294,8 +338,8 @@ def check_psd(spec: KernelSpec, points, tol: float) -> tuple[bool, float]:
 
     Returns the verdict together with the smallest eigenvalue.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     eigenvalues = np.linalg.eigvalsh(gram(spec, points))
     smallest = float(eigenvalues[0])
     return smallest >= -tol, smallest

@@ -1,7 +1,8 @@
-"""NaN never passes a constructor's or entry point's range check.
+"""NaN and +inf never pass a constructor's or entry point's range check.
 
 Every check is written ``not x > 0`` (or ``not x >= 0``), which is false for
-NaN, rather than ``x <= 0``, which lets NaN through.
+NaN, rather than ``x <= 0``, which lets NaN through; the checks of values
+that must be finite are written ``not 0 < x < math.inf``.
 """
 
 import math
@@ -38,5 +39,27 @@ def _data(noise_var=0.0):
          "psd-tol"],
 )
 def test_nan_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Truncation("holder_discrete", 0, INF), ParameterError),
+        (lambda: LayerSpec("mixture_f", 2.5, link_eta=INF), ParameterError),
+        (lambda: _data(noise_var=INF), ParameterError),
+        (lambda: fit(MaternKernel(1.5), _data(), jitter=INF), ParameterError),
+        (lambda: NoiseModel("fixed", delta_sq=INF), ConfigError),
+        (lambda: NoiseModel("schedule", c_delta=INF), ConfigError),
+        (lambda: check_psd(MaternKernel(1.5), PTS, tol=INF), ParameterError),
+    ],
+    ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
+         "psd-tol"],
+)
+def test_inf_rejected(build, error):
     with pytest.raises(error):
         build()
