@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     GpconvError,
+    MeshError,
     ParameterError,
     TruncationError,
 )
@@ -197,12 +198,19 @@ def layer_kernel(
 
 def _check_mesh(mesh, spec: DgpSpec) -> tuple[np.ndarray, float | None]:
     """A sorted 1-D mesh and, if truncated, its spacing: the discrete norms
-    need a uniform mesh.  The spacing is None for an untruncated hierarchy."""
+    need a uniform mesh of at least order + 2 points, as ``discrete_norm``
+    checks.  The spacing is None for an untruncated hierarchy."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
-    if spec.layers[-1].truncation is None:
+    trunc = spec.layers[-1].truncation
+    if trunc is None:
         return mesh, None
+    if mesh.size < trunc.order + 2:
+        raise MeshError(
+            f"a truncation of order {trunc.order} needs a mesh of at least "
+            f"{trunc.order + 2} points, got {mesh.size}"
+        )
     return mesh, _mesh_spacing(mesh)
 
 

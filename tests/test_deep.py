@@ -320,3 +320,24 @@ class TestChain:
         dgp_posterior_mean(chain, n_burn=300, n_iter=700)
         rate = chain.n_accepted / chain.iteration
         assert 0.05 < rate < 0.95
+
+
+class TestTruncationMeshSize:
+    """A truncation of order p needs a mesh of at least p + 2 points."""
+
+    MESH4 = np.linspace(0.0, 5.0, 4)
+
+    def test_prior_rejects_too_small_mesh(self):
+        trunc = Truncation("holder_discrete", 3, 1e9)
+        with pytest.raises(MeshError, match="at least 5 points, got 4"):
+            sample_dgp_prior(_warp_spec(truncation=trunc), self.MESH4, seed=0)
+
+    def test_chain_rejects_too_small_mesh(self):
+        trunc = Truncation("sobolev_discrete", 3, 1e9)
+        with pytest.raises(MeshError, match="at least 5 points, got 4"):
+            DgpChain(_warp_spec(truncation=trunc), _training_data(), self.MESH4, 0.25, 1)
+
+    def test_smallest_admissible_mesh(self):
+        trunc = Truncation("holder_discrete", 2, 1e9)
+        layers = sample_dgp_prior(_warp_spec(truncation=trunc), self.MESH4, seed=0)
+        assert [layer.shape for layer in layers] == [(4,), (4,)]

@@ -7,9 +7,12 @@ bit, not just to a tolerance.
 import numpy as np
 import pytest
 
+from gpconv import gp
+from gpconv.errors import DomainError
 from gpconv.experiments import builtin_figures
-from gpconv.gp import PREDICT_BLOCK_ROWS, TrainingData, fit, posterior_mean
-from gpconv.kernels import kernel_diag, kernel_matrix
+from gpconv.functions import make_function
+from gpconv.gp import TrainingData, fit, posterior_mean
+from gpconv.kernels import ConvolutionKernel, MaternKernel, MixtureKernel, kernel_diag, kernel_matrix
 
 FIGURES = {c.id: c for c in builtin_figures()}
 # indicators of [0, 2], (1, 4) and [3, 5]; the first has nu = 3 (Bessel form)
@@ -75,16 +78,46 @@ def test_indicator_gram_exactly_symmetric_on_random_points():
     np.testing.assert_array_equal(gram, gram.T)
 
 
+def test_base_kernel_not_evaluated_off_its_coefficient_support():
+    # length scale u^2 - 9 is not positive on [0, 3]; the coefficient is the
+    # indicator of [3.5, 5], so the base only ever sees points where it is
+    conv = ConvolutionKernel(
+        make_function({"kind": "poly2", "a": 1.0, "b": 0.0, "c": -9.0}), MaternKernel(1.5)
+    )
+    coeff = make_function({"kind": "indicator", "lo": 3.5, "hi": 5.0, "scale": 1.0})
+    mix = MixtureKernel(components=((coeff, conv),))
+    pts = np.linspace(0.0, 5.0, 21)
+    inside = pts >= 3.5
+    with pytest.raises(DomainError):
+        kernel_matrix(conv, pts)
+    gram = kernel_matrix(mix, pts)
+    expected = np.zeros_like(gram)
+    expected[np.ix_(inside, inside)] = kernel_matrix(conv, pts[inside])
+    np.testing.assert_array_equal(gram, expected)
+    np.testing.assert_array_equal(kernel_diag(mix, pts), np.diag(expected))
+
+
 @pytest.mark.parametrize(
-    "length", [1, PREDICT_BLOCK_ROWS - 1, PREDICT_BLOCK_ROWS, PREDICT_BLOCK_ROWS + 1, 1000]
+    "n_points, rows", [(1, 65536), (7, 9360), (1024, 64), (4096, 16), (16385, 4), (10**6, 4)]
 )
+def test_block_rows_fill_the_entry_budget_in_multiples_of_four(n_points, rows):
+    assert gp._block_rows(n_points) == rows
+
+
+ROWS = 256
+
+
+@pytest.mark.parametrize("length", [1, ROWS - 1, ROWS, ROWS + 1, 1000])
 @pytest.mark.parametrize("fig", ["fig_mix3_indicator", "fig_warp", "fig_conv"])
-def test_blocked_mean_matches_one_product(fig, length):
+def test_blocked_mean_matches_one_product(fig, length, monkeypatch):
     # eight design points keep every product below the size at which
     # OpenBLAS splits a matrix-vector product over threads, so the
-    # comparison holds at any BLAS thread count
+    # comparison holds at any BLAS thread count; the budget is cut so
+    # that eight points still get blocks of ROWS rows
+    monkeypatch.setattr(gp, "PREDICT_BLOCK_ENTRIES", 8 * ROWS)
     spec = FIGURES[fig].kernel
     design = np.linspace(0.3, 4.7, 8)
+    assert gp._block_rows(len(design)) == ROWS
     post = fit(spec, TrainingData(design, np.sin(2.0 * design), 1e-6))
     query = np.linspace(0.0, 5.0, length)
     np.testing.assert_array_equal(
