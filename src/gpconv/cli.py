@@ -30,9 +30,9 @@ def _load_config(path: str) -> experiments.ExperimentConfig:
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(config_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        data = json.loads(config_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}")
     return experiments.config_from_dict(data)
 
 
@@ -121,13 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment config from JSON")
     p_run.add_argument("--config", required=True, help="path to the config JSON")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_fig = sub.add_parser("figures", help="run the built-in convergence studies")
     p_fig.add_argument("--which", default="all", help="figure id or 'all'")
     p_fig.add_argument("--out", required=True, help="output directory")
-    p_fig.add_argument("--seed", type=int, default=0)
     p_fig.set_defaults(func=cmd_figures)
 
     mcmc = experiments.McmcParams()
@@ -137,14 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_dgp.add_argument("--iters", type=int, default=mcmc.n_iter)
     p_dgp.add_argument("--beta", type=float, default=mcmc.beta)
     p_dgp.add_argument("--out", required=True, help="output directory")
-    p_dgp.add_argument("--seed", type=int, default=0)
     p_dgp.set_defaults(func=cmd_dgp)
+    for command in (p_run, p_fig, p_dgp):
+        command.add_argument("--seed", type=int, default=0, help="non-negative seed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .analysis import _mesh_spacing, _spaced_norm
 from .errors import (
@@ -40,15 +39,8 @@ from .errors import (
     TruncationError,
 )
 from .functions import FunctionHandle, piecewise_linear
-from .gp import TrainingData, _path_cholesky, _path_draw
-from .kernels import (
-    KernelSpec,
-    MaternKernel,
-    MixtureKernel,
-    WarpKernel,
-    gram,
-    kernel_matrix,
-)
+from .gp import TrainingData, _condition, _path_cholesky, _path_draw, posterior_mean
+from .kernels import KernelSpec, MaternKernel, MixtureKernel, WarpKernel
 
 TUNE_WINDOW = 50
 TUNE_LOW = 0.15
@@ -271,7 +263,9 @@ class DgpChain:
 
         Phi = 1/2 log det(K_D + delta^2 I) + 1/2 y^T (K_D + delta^2 I)^{-1} y
 
-    with K_D the final-layer Gram matrix at the training points.  The prior
+    with K_D the final-layer Gram matrix at the training points.  Each state
+    holds its final layer as a ``GpPosterior`` (``gp._condition``, ridged by
+    the noise alone), whose ``neg_log_like`` is Phi.  The prior
     is sample_dgp_prior's: with a truncation the hidden layers are
     conditioned jointly on the ball, so proposals whose constrained layer
     leaves it count as rejections, as do proposals whose kernel assembly
@@ -334,7 +328,7 @@ class DgpChain:
     # -- state assembly -------------------------------------------------
 
     def _assemble(self, whitened: list[np.ndarray]):
-        """Hidden layer values, final kernel and likelihood for a whitened state.
+        """Hidden layer values and final-layer posterior for a whitened state.
 
         Returns None when the state is inadmissible (truncation violated or
         kernel assembly failed), which the caller treats as a rejection.
@@ -350,37 +344,23 @@ class DgpChain:
             final_kernel = layer_kernel(
                 spec.layers[-1], hidden[-1], self.mesh, spec.rescale_warp, spec.domain
             )
-            train = gram(final_kernel, self.data.points)
-            train[np.diag_indices_from(train)] += self.data.noise_var
-            factor = linalg.cholesky(train, lower=True, check_finite=False)
-        except (np.linalg.LinAlgError, GpconvError):
+            post = _condition(final_kernel, self.data, (0.0,))
+        except GpconvError:
+            post = None
+        if post is None or not np.isfinite(post.neg_log_like):
             self.n_assembly_failures += 1
             return None
-
-        solved = linalg.cho_solve((factor, True), self.data.values, check_finite=False)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-        neg_log_like = 0.5 * log_det + 0.5 * float(self.data.values @ solved)
-        if not np.isfinite(neg_log_like):
-            self.n_assembly_failures += 1
-            return None
-        return {
-            "hidden": hidden,
-            "kernel": final_kernel,
-            "solved": solved,
-            "neg_log_like": neg_log_like,
-            "mean": None,
-        }
+        return {"hidden": hidden, "post": post, "mean": None}
 
     def conditional_mean(self) -> np.ndarray:
         """Posterior mean on the mesh given the current hidden layers."""
         if self._current["mean"] is None:
-            cross = kernel_matrix(self._current["kernel"], self.mesh, self.data.points)
-            self._current["mean"] = cross @ self._current["solved"]
+            self._current["mean"] = posterior_mean(self._current["post"], self.mesh)
         return self._current["mean"]
 
     @property
     def log_likelihood(self) -> float:
-        return -self._current["neg_log_like"]
+        return -self._current["post"].neg_log_like
 
     # -- MCMC -----------------------------------------------------------
 
@@ -397,7 +377,7 @@ class DgpChain:
         state = self._assemble(proposal)
         accepted = False
         if state is not None:
-            log_ratio = self._current["neg_log_like"] - state["neg_log_like"]
+            log_ratio = self._current["post"].neg_log_like - state["post"].neg_log_like
             if log_u < min(0.0, log_ratio):
                 self.whitened_state = proposal
                 self._current = state
@@ -408,7 +388,7 @@ class DgpChain:
         self.trace.append(
             {
                 "iteration": self.iteration,
-                "log_likelihood": -self._current["neg_log_like"],
+                "log_likelihood": self.log_likelihood,
                 "accepted": accepted,
                 "beta": self.step_beta,
             }

@@ -6,8 +6,9 @@ k, the posterior is the Gaussian process with
     mean(u)     = k(u, U)^T (K + delta^2 I)^{-1} y,
     cov(u, u')  = k(u, u') - k(u, U)^T (K + delta^2 I)^{-1} k(u', U),
 
-where K is the Gram matrix on U.  Fitting factorises the regularised Gram
-matrix once (the only O(N^3) step); prediction is matrix-vector work.
+where K is the Gram matrix on U.  ``_condition``, the one conditioning path
+(``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
+Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 
 Prior paths on a mesh, in ``sample_prior`` and every layer of ``deep``,
 share one factorisation, ``_path_cholesky``, and one product, ``_path_draw``.
@@ -68,11 +69,12 @@ class TrainingData:
 class GpPosterior:
     """Fitted regression state: kernel, data and the factored Gram matrix.
 
-    ``factor`` is the lower-triangular Cholesky factor of
-    K + (noise_var + jitter) I and ``weights`` the solved representer
-    coefficients.  ``jitter`` is the value actually used; ``escalated``
-    records whether the initial factorisation failed and the jitter was
-    multiplied by 1000 for a second attempt.
+    ``factor`` is the lower-triangular Cholesky factor of K + s I with
+    s = noise_var + jitter, ``weights`` the solved representer coefficients
+    and ``neg_log_like`` 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
+    ``jitter`` is the value actually used; ``escalated`` records whether the
+    initial factorisation failed and the jitter was multiplied by 1000 for a
+    second attempt.
     """
 
     spec: KernelSpec
@@ -80,10 +82,13 @@ class GpPosterior:
     jitter: float
     factor: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    neg_log_like: float
     escalated: bool = False
 
 
-def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
+def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
+    """Lower Cholesky factor of ``matrix + ridge I``, ridging ``matrix`` in place."""
+    matrix.flat[:: len(matrix) + 1] += ridge
     return linalg.cholesky(matrix, lower=True, check_finite=False)
 
 
@@ -97,13 +102,19 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
     """
     if not 0 <= jitter < math.inf:
         raise ParameterError(f"jitter must be non-negative and finite, got {jitter}")
+    return _condition(spec, data, (jitter, jitter * JITTER_ESCALATION))
+
+
+def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...]) -> GpPosterior:
+    """The one conditioning path: ridge the Gram matrix by noise_var + jitter
+    for each jitter in turn, then factor, solve and score at the first that
+    factors.  The Gram matrix is copied only while a retry can follow; if no
+    jitter factors, SingularGramError names the last one."""
     gram_matrix = gram(spec, data.points)
-    for escalated, jitter_used in ((False, jitter), (True, jitter * JITTER_ESCALATION)):
-        # the ridge goes on the diagonal of a copy, bit for bit K + s I
-        regularised = gram_matrix.copy()
-        regularised.flat[:: data.n + 1] += data.noise_var + jitter_used
+    for attempt, jitter in enumerate(jitters):
+        regularised = gram_matrix.copy() if attempt + 1 < len(jitters) else gram_matrix
         try:
-            factor = _cholesky_lower(regularised)
+            factor = _ridged_cholesky(regularised, data.noise_var + jitter)
             break
         except np.linalg.LinAlgError:
             pass
@@ -111,19 +122,21 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
         smallest = float(np.linalg.eigvalsh(regularised)[0])
         raise SingularGramError(
             f"Gram matrix is numerically singular: Cholesky met a "
-            f"non-positive pivot at jitter {jitter_used:.3e} (N={data.n}, "
+            f"non-positive pivot at jitter {jitter:.3e} (N={data.n}, "
             f"smallest eigenvalue {smallest:.3e}); duplicated points or "
             "too little regularisation"
         )
 
     weights = linalg.cho_solve((factor, True), data.values, check_finite=False)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return GpPosterior(
         spec=spec,
         data=data,
-        jitter=jitter_used,
+        jitter=jitter,
         factor=factor,
         weights=weights,
-        escalated=escalated,
+        neg_log_like=0.5 * log_det + 0.5 * float(data.values @ weights),
+        escalated=attempt > 0,
     )
 
 
@@ -212,9 +225,8 @@ def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Gram matrix on the mesh plus the path jitter."""
     gram_matrix = gram(spec, mesh)
     path_jitter = PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
-    gram_matrix.flat[:: len(gram_matrix) + 1] += path_jitter
     try:
-        return _cholesky_lower(gram_matrix)
+        return _ridged_cholesky(gram_matrix, path_jitter)
     except np.linalg.LinAlgError as exc:
         raise SamplingError(
             f"prior covariance on the mesh is not factorable even with "

@@ -44,9 +44,9 @@ class MaternKernel:
     sigma_sq: float = 1.0
 
     def __post_init__(self):
-        _check_positive(nu=self.nu, lam=self.lam, sigma_sq=self.sigma_sq)
-        if math.isinf(self.nu):
+        if self.nu == math.inf:
             raise ParameterError("use GaussianKernel for the infinite-smoothness limit")
+        _check_positive(nu=self.nu, lam=self.lam, sigma_sq=self.sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ KernelSpec = Union[MaternKernel, GaussianKernel, WarpKernel, MixtureKernel, Conv
 
 def _check_positive(**params):
     for name, value in params.items():
-        if not value > 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value}")
 
 
 def is_stationary(spec: KernelSpec) -> bool:

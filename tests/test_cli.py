@@ -47,6 +47,25 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"id": "caf\u00e9"}'.encode("latin-1"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "latin1.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "figures", "dgp"])
+    def test_negative_seed(
+        self, tmp_path, small_config_path, small_dgp_config_path, capsys, command
+    ):
+        """A negative seed exits 2 before any work, for every subcommand."""
+        config = {"run": small_config_path, "dgp": small_dgp_config_path}.get(command)
+        argv = [command, "--out", str(tmp_path / "out"), "--seed", "-2"]
+        if config is not None:
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path, small_config_path):
         data = json.loads(small_config_path.read_text())
         data["mystery"] = True

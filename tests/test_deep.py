@@ -246,6 +246,20 @@ class TestChain:
         reference = posterior_mean(post, MESH)
         np.testing.assert_allclose(mean, reference, rtol=1e-12, atol=1e-14)
 
+    def test_likelihood_and_mean_are_those_of_gp_fit(self):
+        """The chain conditions its final layer as ``gp.fit`` does with the
+        noise alone as ridge: same likelihood and mean, bit for bit."""
+        data = _training_data()
+        chain = DgpChain(_warp_spec(), data, MESH, step_beta=0.3, rng_seed=11)
+        for _ in range(5):
+            chain.step()
+        induced = layer_kernel(
+            chain.spec.layers[0], chain._current["hidden"][-1], MESH, True, chain.spec.domain
+        )
+        post = fit(induced, data, jitter=0.0)
+        assert chain.log_likelihood == -post.neg_log_like
+        assert np.array_equal(chain.conditional_mean(), posterior_mean(post, MESH))
+
     def test_trajectory_reproducible(self):
         runs = []
         for _ in range(2):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpconv import deep
+from gpconv import deep, gp
 from gpconv.errors import ConfigError
 from gpconv.experiments import (
     FIGURE_BANDS,
@@ -335,16 +335,16 @@ class TestRunDgpConvergence:
         and each level's record says so."""
         config, _ = reference_tdgp_config()
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
-        real_cholesky = deep.linalg.cholesky
+        real_cholesky = gp.linalg.cholesky
         real_init = deep.DgpChain.__init__
 
         def failing_cholesky(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
         def init_then_fail(self, *args, **kwargs):
-            monkeypatch.setattr(deep.linalg, "cholesky", real_cholesky)
+            monkeypatch.setattr(gp.linalg, "cholesky", real_cholesky)
             real_init(self, *args, **kwargs)
-            monkeypatch.setattr(deep.linalg, "cholesky", failing_cholesky)
+            monkeypatch.setattr(gp.linalg, "cholesky", failing_cholesky)
 
         monkeypatch.setattr(deep.DgpChain, "__init__", init_then_fail)
         records, _ = run_dgp_convergence(quick, McmcParams(5, 10, 0.3), seed=1)

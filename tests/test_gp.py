@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from gpconv.errors import ParameterError, SingularGramError
 from gpconv.experiments import builtin_figures
@@ -88,6 +89,33 @@ class TestFit:
         data = TrainingData(design.points, np.sin(design.points), noise_var=0.0)
         post = fit(GaussianKernel(), data, jitter=1e-17)
         assert post.escalated and post.jitter == pytest.approx(1e-14)
+
+
+def _five_variants():
+    """One kernel of each registry variant: the two stationary kernels and
+    the first built-in figure kernel of each non-stationary construction."""
+    kernels = {
+        "MaternKernel": MaternKernel(2.5, 0.7, 1.3),
+        "GaussianKernel": GaussianKernel(0.8, 0.5),
+    }
+    for config in builtin_figures():
+        kernels.setdefault(type(config.kernel).__name__, config.kernel)
+    return kernels
+
+
+@pytest.mark.parametrize("variant", sorted(_five_variants()))
+def test_neg_log_like_matches_gaussian_logpdf(variant):
+    """neg_log_like is the Gaussian negative log density of y under
+    N(0, K + s I) without its N/2 log(2 pi) constant."""
+    spec = _five_variants()[variant]
+    rng = np.random.default_rng(3)
+    points = np.sort(rng.uniform(0.0, 5.0, 24))
+    data = TrainingData(points, np.sin(2 * points) + 0.5, noise_var=1e-3)
+    post = fit(spec, data, jitter=1e-12)
+    cov = gram(spec, points) + (data.noise_var + post.jitter) * np.eye(data.n)
+    log_density = multivariate_normal(cov=cov).logpdf(data.values)
+    oracle = -log_density - data.n / 2 * math.log(2 * math.pi)
+    assert post.neg_log_like == pytest.approx(oracle, rel=1e-10)
 
 
 class TestPosteriorMean:

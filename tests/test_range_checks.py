@@ -14,7 +14,7 @@ from gpconv.deep import LayerSpec, Truncation
 from gpconv.errors import ConfigError, ParameterError
 from gpconv.experiments import NoiseModel
 from gpconv.gp import TrainingData, fit
-from gpconv.kernels import MaternKernel, check_psd
+from gpconv.kernels import GaussianKernel, MaternKernel, check_psd
 
 NAN = math.nan
 PTS = np.array([0.0, 1.0, 2.0])
@@ -56,9 +56,13 @@ INF = math.inf
         (lambda: NoiseModel("fixed", delta_sq=INF), ConfigError),
         (lambda: NoiseModel("schedule", c_delta=INF), ConfigError),
         (lambda: check_psd(MaternKernel(1.5), PTS, tol=INF), ParameterError),
+        (lambda: MaternKernel(2.5, lam=INF), ParameterError),
+        (lambda: MaternKernel(2.5, sigma_sq=INF), ParameterError),
+        (lambda: GaussianKernel(lam=INF), ParameterError),
+        (lambda: GaussianKernel(sigma_sq=INF), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol"],
+         "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq"],
 )
 def test_inf_rejected(build, error):
     with pytest.raises(error):
