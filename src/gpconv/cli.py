@@ -7,11 +7,24 @@ the selected studies one after another, in ``--which`` order, and prints
 each study's row as it finishes.  All outputs (CSV per config, rates.csv,
 one SVG per norm) are deterministic given the flags and seed.  Exit
 codes: 0 success, 2 configuration problem, 3 numerical failure.
+
+``figures`` and ``dgp`` run on one BLAS thread: they set the OpenBLAS
+builds bundled with numpy and with scipy to one thread each for the length
+of the command and restore the earlier counts afterwards.  Their written
+files then do not depend on the machine's thread default (OpenBLAS splits
+products by thread, which changes the last bits), and the pCN chain's many
+small products stop paying for a spinning second thread.  If a library or
+its thread setter cannot be found, the command runs unpinned and says so on
+stderr.  ``run`` keeps the default threads: its single large factorisation
+and prediction per level gain from a second thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -23,6 +36,67 @@ from .plotting import PlotRequest, render_loglog_svg
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+
+# The OpenBLAS builds bundled with numpy and scipy: the package, its
+# library's file pattern in ``<package>.libs``, and the thread-count getter
+# and setter that library exports.
+OPENBLAS_POOLS = (
+    (
+        "numpy",
+        "libscipy_openblas64_*.so",
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_set_num_threads64_",
+    ),
+    (
+        "scipy",
+        "libscipy_openblas-*.so",
+        "scipy_openblas_get_num_threads",
+        "scipy_openblas_set_num_threads",
+    ),
+)
+
+
+def _blas_pool(package: str, pattern: str, get_name: str, set_name: str):
+    """The (getter, setter) thread-count functions of one bundled OpenBLAS,
+    or None if its library or either symbol cannot be found."""
+    module = importlib.import_module(package)
+    libs = Path(module.__file__).resolve().parent.parent / f"{package}.libs"
+    for path in sorted(libs.glob(pattern)):
+        library = ctypes.CDLL(str(path))
+        getter = getattr(library, get_name, None)
+        setter = getattr(library, set_name, None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore
+    each pool's earlier count, also when the body raises."""
+    pinned, missing = [], []
+    for package, *names in OPENBLAS_POOLS:
+        pool = _blas_pool(package, *names)
+        if pool is None:
+            missing.append(package)
+        else:
+            pinned.append((pool[1], pool[0]()))
+    if missing:
+        print(
+            f"note: BLAS threads unpinned for {', '.join(missing)}: no OpenBLAS "
+            "thread control found; outputs may depend on the thread count",
+            file=sys.stderr,
+        )
+    for setter, _ in pinned:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in pinned:
+            setter(count)
 
 
 def _load_config(path: str) -> experiments.ExperimentConfig:
@@ -146,7 +220,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        one_thread = args.command in ("figures", "dgp")
+        threads = _one_blas_thread() if one_thread else contextlib.nullcontext()
+        with threads:
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

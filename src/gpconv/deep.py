@@ -15,9 +15,9 @@ whose constrained layer leaves it is rejected whole.  The prior sampler
 and the chain share that map.  Posterior inference over the hidden layers
 marginalises the final layer analytically (the data are conditionally
 Gaussian given the hidden layers) and runs a preconditioned Crank-Nicolson
-walk on the whitened layer coefficients,
-``xi' = sqrt(1 - beta^2) xi + beta eta``, accepted by the marginal
-likelihood ratio.  Noise-free data are not supported: the
+walk on the whitened layer coefficients (for layer 0, its Karhunen-Loeve
+coefficients), ``xi' = sqrt(1 - beta^2) xi + beta eta``, accepted by the
+marginal likelihood ratio.  Noise-free data are not supported: the
 conditioning is only defined through the noisy likelihood, so callers pass
 a positive (possibly N-dependent) noise level.
 """
@@ -39,7 +39,14 @@ from .errors import (
     TruncationError,
 )
 from .functions import FunctionHandle, piecewise_linear
-from .gp import TrainingData, _condition, _path_cholesky, _path_draw, posterior_mean
+from .gp import (
+    TrainingData,
+    _condition,
+    _path_cholesky,
+    _path_draw,
+    _path_spectral,
+    posterior_mean,
+)
 from .kernels import KernelSpec, MaternKernel, MixtureKernel, WarpKernel
 
 TUNE_WINDOW = 50
@@ -206,19 +213,22 @@ def _check_mesh(mesh, spec: DgpSpec) -> tuple[np.ndarray, float | None]:
     return mesh, _mesh_spacing(mesh)
 
 
-def _prior_whitened(spec: DgpSpec, m: int, rng) -> list[np.ndarray]:
-    """Standard normal coefficients of the hidden layers: (width, m) or (m,)
-    for f0, then (m,) for each deeper hidden layer."""
-    first = rng.standard_normal((spec.width, m) if spec.width > 1 else m)
+def _prior_whitened(spec: DgpSpec, m: int, rank0: int, rng) -> list[np.ndarray]:
+    """Standard normal coefficients of the hidden layers: (width, rank0) or
+    (rank0,) for f0, whose factor has rank0 columns, then (m,) for each
+    deeper hidden layer."""
+    first = rng.standard_normal((spec.width, rank0) if spec.width > 1 else rank0)
     return [first] + [rng.standard_normal(m) for _ in range(spec.depth - 1)]
 
 
 def _hidden_layers(
-    spec: DgpSpec, mesh: np.ndarray, chol0: np.ndarray, whitened: list[np.ndarray]
+    spec: DgpSpec, mesh: np.ndarray, factor0: np.ndarray, whitened: list[np.ndarray]
 ) -> list[np.ndarray]:
     """The hierarchy's forward map: hidden layers f0 .. f^{D-1} on the mesh
-    from their whitened coefficients (``chol0`` factors the f0 Gram)."""
-    hidden = [_path_draw(chol0, whitened[0])]
+    from their whitened coefficients.  ``factor0`` is the rank-r spectral
+    factor of the f0 Gram matrix (``_path_spectral``); each deeper layer
+    is drawn from the Cholesky factor of its own kernel's Gram matrix."""
+    hidden = [_path_draw(factor0, whitened[0])]
     for layer, xi in zip(spec.layers, whitened[1:]):
         kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp, spec.domain)
         hidden.append(_path_draw(_path_cholesky(kernel, mesh), xi))
@@ -237,11 +247,12 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     """
     mesh, spacing = _check_mesh(mesh, spec)
     rng = np.random.default_rng(seed)
-    chol0 = _path_cholesky(spec.layer0_kernel(), mesh)
+    factor0 = _path_spectral(spec.layer0_kernel(), mesh)
     trunc = spec.layers[-1].truncation
     attempts = trunc.max_rejections if trunc is not None else 1
     for _ in range(attempts):
-        hidden = _hidden_layers(spec, mesh, chol0, _prior_whitened(spec, len(mesh), rng))
+        whitened = _prior_whitened(spec, len(mesh), factor0.shape[1], rng)
+        hidden = _hidden_layers(spec, mesh, factor0, whitened)
         if trunc is None or trunc.admits(hidden[-1], spacing):
             break
     else:
@@ -274,11 +285,25 @@ class DgpChain:
     layers whenever that draw assembles.  A truncated hierarchy needs a
     uniform mesh.  The chain itself never changes ``step_beta``;
     dgp_posterior_mean tunes it during burn-in.
+
+    Layer 0's kernel is fixed for the whole chain, so its whitened state is
+    the r-vector (or (width, r) array) of coefficients of its truncated
+    Karhunen-Loeve expansion: one ``_path_spectral`` factor per chain keeps
+    the r eigenpairs of its mesh Gram matrix above the path jitter (r = 73
+    for the reference TDGP run), and a step draws f0 by an m x r product.
+    pCN on these coefficients is the same walk as on Cholesky-whitened ones
+    (Cotter, Roberts, Stuart & White 2013); layers from truncated KL
+    expansions are the construction of Dunlop, Girolami, Stuart &
+    Teckentrup 2018.  Deeper layers depend on the state, so each is drawn
+    from the Cholesky factor of its own Gram matrix.
+
     The whole trajectory is reproducible from (spec, data, mesh, step_beta,
-    rng_seed) at a fixed BLAS thread count and fixed numpy, scipy and
-    OpenBLAS versions: a change of either reorders floating-point sums,
-    which can flip an accept/reject decision and send the chain down
-    another path.
+    rng_seed) at fixed numpy, scipy and OpenBLAS versions, a fixed CPU
+    (OpenBLAS picks its kernels per CPU) and a fixed ``eigh`` driver.  The
+    ``figures`` and ``dgp`` commands run on one BLAS thread; called from
+    elsewhere, the trajectory also depends on the BLAS thread count.  A
+    change of any of these reorders floating-point sums, which can flip an
+    accept/reject decision and send the chain down another path.
     """
 
     def __init__(
@@ -309,13 +334,15 @@ class DgpChain:
         self.n_assembly_failures = 0
         self.n_accepted = 0
 
-        self._chol0 = _path_cholesky(spec.layer0_kernel(), self.mesh)
+        self._factor0 = _path_spectral(spec.layer0_kernel(), self.mesh)
         # Rejection-sample an admissible starting state from the prior.
         trunc = spec.layers[-1].truncation
         budget = trunc.max_rejections if trunc is not None else 50
         state = None
         for _ in range(budget):
-            self.whitened_state = _prior_whitened(spec, len(self.mesh), self.rng)
+            self.whitened_state = _prior_whitened(
+                spec, len(self.mesh), self._factor0.shape[1], self.rng
+            )
             state = self._assemble(self.whitened_state)
             if state is not None:
                 break
@@ -335,7 +362,7 @@ class DgpChain:
         """
         spec = self.spec
         try:
-            hidden = _hidden_layers(spec, self.mesh, self._chol0, whitened)
+            hidden = _hidden_layers(spec, self.mesh, self._factor0, whitened)
             trunc = spec.layers[-1].truncation
             if trunc is not None and not trunc.admits(hidden[-1], self._spacing):
                 self.n_trunc_rejections += 1

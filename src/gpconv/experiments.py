@@ -102,6 +102,8 @@ class DesignRule:
     def __post_init__(self):
         if self.kind not in ("uniform", "random"):
             raise ConfigError(f"unknown design kind {self.kind!r}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,12 @@ where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 
-Prior paths on a mesh, in ``sample_prior`` and every layer of ``deep``,
-share one factorisation, ``_path_cholesky``, and one product, ``_path_draw``.
+Prior paths on a mesh are drawn by one product, ``_path_draw``, from one of
+two factors of the Gram matrix on the mesh.  ``_path_spectral`` keeps the
+eigenpairs above the path jitter; ``deep`` draws layer 0 from it, whose
+kernel is fixed for the whole chain.  ``_path_cholesky`` factors the Gram
+matrix plus the path jitter; ``sample_prior`` and every deeper layer of
+``deep`` draw from it.
 """
 
 from __future__ import annotations
@@ -151,8 +155,10 @@ def posterior_mean(post: GpPosterior, query) -> np.ndarray:
     of 4 and no block is a lone row (numpy sends a one-row product to dot,
     not gemv, so a lone last row joins the block before).  So at one BLAS
     thread the result is bit-identical to ``kernel_matrix(spec, query, U)
-    @ weights``.  With more threads OpenBLAS splits each product by its
-    height, and the last bits can differ from the unblocked product.
+    @ weights``; the ``figures`` and ``dgp`` commands run on one thread.
+    With more threads, as in ``run`` and direct library calls, OpenBLAS
+    splits each product by its height, and the last bits can differ from
+    the unblocked product.
     """
     query = _as_points(query)
     n, rows = len(query), _block_rows(post.data.n)
@@ -221,10 +227,16 @@ def _clamp_variance(value: float) -> float:
     return max(value, 0.0)
 
 
+def _path_gram(spec: KernelSpec, mesh: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram matrix on the mesh and its path jitter, PATH_JITTER_SCALE times
+    its largest diagonal entry."""
+    gram_matrix = gram(spec, mesh)
+    return gram_matrix, PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
+
+
 def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Gram matrix on the mesh plus the path jitter."""
-    gram_matrix = gram(spec, mesh)
-    path_jitter = PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
+    gram_matrix, path_jitter = _path_gram(spec, mesh)
     try:
         return _ridged_cholesky(gram_matrix, path_jitter)
     except np.linalg.LinAlgError as exc:
@@ -234,24 +246,62 @@ def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _path_draw(chol: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``chol @ xi`` for a 1-D state, ``xi @ chol.T`` for a (width, m) one.
+def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
+    """Rank-r factor B = U_r diag(sqrt(s_r)) of the Gram matrix K on the mesh.
+
+    (s_r, U_r) are the r eigenpairs of K whose eigenvalue exceeds the path
+    jitter, so B B^T differs from K by at most about the path jitter, and a
+    path is ``_path_draw(B, xi)`` for a standard normal r-vector xi (the
+    truncated Karhunen-Loeve expansion).  Smooth kernels need few
+    coefficients: for the reference TDGP layer 0 (nu = 7/2, lambda = 5, a
+    1024-point mesh on [0, 5]) r = 73.  B is F-contiguous, as
+    ``_path_draw`` wants.  The LAPACK driver is fixed, because drivers
+    differ in the last bits and in which eigenvalues near the jitter they
+    keep (``evd`` keeps 72 pairs of that matrix, ``evr`` 73).  Raises
+    SamplingError when the eigensolver fails or keeps no pair.
+    """
+    gram_matrix, path_jitter = _path_gram(spec, mesh)
+    try:
+        values, vectors = linalg.eigh(
+            gram_matrix,
+            subset_by_value=(path_jitter, np.inf),
+            driver="evr",
+            overwrite_a=True,
+            check_finite=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SamplingError(
+            f"eigendecomposition of the prior covariance on the mesh failed "
+            f"(path jitter {path_jitter:.3e})"
+        ) from exc
+    if values.size == 0:
+        raise SamplingError(
+            f"prior covariance on the mesh has no eigenvalue above the path "
+            f"jitter {path_jitter:.3e}"
+        )
+    vectors *= np.sqrt(values)
+    return vectors
+
+
+def _path_draw(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``factor @ xi`` for a 1-D state, ``xi @ factor.T`` for a (width, k) one,
+    with ``factor`` an (m, k) path factor.
 
     numpy and scipy each bundle their own OpenBLAS, and each keeps a pool of
     busy-waiting worker threads.  A pCN step that sent its products through
     numpy and its Cholesky and solve through scipy made the two pools fight
     for the cores: on a 2-core Xeon VM the median step of the reference
     chain at N=256 took 8.0 ms, against 2.0 ms with every product on
-    scipy's library.  ``chol`` should be the
-    F-contiguous factor ``scipy.linalg.cholesky`` returns; a C-ordered
-    operand is copied on every call.  For a 1-D state the result is
-    bit-identical to ``chol @ xi``.
+    scipy's library.  ``factor`` should be F-contiguous, as the factors of
+    ``_path_cholesky`` and ``_path_spectral`` are; a C-ordered operand is
+    copied on every call.  For a 1-D state the result is bit-identical to
+    ``factor @ xi``.
     """
     if xi.ndim == 1:
-        return blas.dgemv(1.0, chol, xi)
-    # xi.T is the F-contiguous (m, width) view; the product comes back as
+        return blas.dgemv(1.0, factor, xi)
+    # xi.T is the F-contiguous (k, width) view; the product comes back as
     # (m, width) in F order, whose transpose is a C-ordered (width, m) array.
-    return blas.dgemm(1.0, chol, xi.T).T
+    return blas.dgemm(1.0, factor, xi.T).T
 
 
 def sample_prior(spec: KernelSpec, mesh, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gpconv import cli
 from gpconv.cli import main
 from gpconv.experiments import builtin_figures, config_to_dict, reference_tdgp_config
 
@@ -115,6 +116,15 @@ class TestExitCodes:
         assert main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert path in capsys.readouterr().err
 
+    def test_negative_design_seed(self, tmp_path, small_config_path, capsys):
+        data = json.loads(small_config_path.read_text())
+        data["design"] = {"kind": "random", "seed": -2}
+        bad = tmp_path / "bad_design_seed.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "design: seed must be non-negative, got -2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_kernel_parameter_out_of_range(self, tmp_path, small_config_path, capsys):
         data = json.loads(small_config_path.read_text())
         data["kernel"]["base"]["nu"] = -1
@@ -193,3 +203,77 @@ class TestDgp:
         assert code == 0
         lines = (out / "tdgp_small.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two levels
+
+
+@pytest.fixture()
+def blas_pools():
+    """(getter, setter) of numpy's and scipy's bundled OpenBLAS; their
+    thread counts are restored after the test."""
+    pools = [cli._blas_pool(package, *names) for package, *names in cli.OPENBLAS_POOLS]
+    if None in pools:
+        pytest.skip("no bundled OpenBLAS thread control in this installation")
+    before = [get() for get, _ in pools]
+    yield pools
+    for (_, set_threads), count in zip(pools, before):
+        set_threads(count)
+
+
+def _set_threads(pools, count):
+    for _, set_threads in pools:
+        set_threads(count)
+
+
+def _threads(pools):
+    return [get() for get, _ in pools]
+
+
+class TestBlasThreads:
+    """``figures`` and ``dgp`` run on one BLAS thread; ``run`` does not."""
+
+    def test_figure_outputs_do_not_depend_on_thread_default(self, tmp_path, blas_pools):
+        outputs = []
+        for count in (2, 1):
+            _set_threads(blas_pools, count)
+            out = tmp_path / f"threads{count}"
+            assert main(["figures", "--which", "fig_warp", "--out", str(out), "--seed", "42"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, pinned", [("figures", True), ("dgp", True), ("run", False)]
+    )
+    def test_threads_during_command(self, tmp_path, blas_pools, monkeypatch, command, pinned):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(_threads(blas_pools)) or 0)
+        _set_threads(blas_pools, 2)
+        before = _threads(blas_pools)
+        argv = [command, "--out", str(tmp_path)]
+        if command != "figures":
+            argv += ["--config", str(tmp_path / "unread.json")]
+        assert main(argv) == 0
+        assert seen == [[1, 1] if pinned else before]
+        assert _threads(blas_pools) == before
+
+    def test_counts_restored_after_config_error(self, tmp_path, blas_pools):
+        _set_threads(blas_pools, 2)
+        before = _threads(blas_pools)
+        assert main(["figures", "--which", "nope", "--out", str(tmp_path)]) == 2
+        assert _threads(blas_pools) == before
+
+    def test_missing_library_runs_unpinned(
+        self, tmp_path, small_dgp_config_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            cli,
+            "OPENBLAS_POOLS",
+            tuple((package, "no-such-library-*.so", get, set_) for package, _, get, set_
+                  in cli.OPENBLAS_POOLS),
+        )
+        out = tmp_path / "dgp"
+        code = main([
+            "dgp", "--config", str(small_dgp_config_path), "--out", str(out),
+            "--burn", "20", "--iters", "30", "--seed", "7",
+        ])
+        assert code == 0
+        assert (out / "tdgp_small.csv").exists() and (out / "rates.csv").exists()
+        assert "BLAS threads unpinned for numpy, scipy" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from gpconv.deep import (
     sample_dgp_prior,
 )
 from gpconv.errors import MeshError, ParameterError, SamplingError, TruncationError
-from gpconv.gp import TrainingData, fit, posterior_mean
+from gpconv.gp import PATH_JITTER_SCALE, TrainingData, _path_spectral, fit, posterior_mean
 from gpconv.kernels import MaternKernel, check_psd, gram
 from gpconv.analysis import uniform_design
 
@@ -189,8 +189,9 @@ class TestPathDraw:
             DgpSpec(
                 depth=1, layer0_nu=3.5, width=3, layers=(LayerSpec("mixture_f", base_nu=2.5),)
             ),
+            _warp_spec(truncation=Truncation("holder_discrete", 2, 50.0)),
         ],
-        ids=["depth2", "width3"],
+        ids=["depth2", "width3", "reference-kernel"],
     )
     def test_chain_trace_reproducible(self, spec):
         traces = []
@@ -200,6 +201,42 @@ class TestPathDraw:
                 chain.step()
             traces.append(chain.trace_csv())
         assert traces[0] == traces[1]
+
+
+class TestPathSpectral:
+    """Layer 0 is drawn from the rank-r factor of its mesh Gram matrix."""
+
+    REFERENCE_MESH = np.linspace(0.0, 5.0, 1024)
+
+    def test_reference_factor_reproduces_gram_to_path_jitter(self):
+        kernel = _warp_spec().layer0_kernel()
+        factor = _path_spectral(kernel, self.REFERENCE_MESH)
+        gram_matrix = gram(kernel, self.REFERENCE_MESH)
+        m, r = factor.shape
+        assert m == len(self.REFERENCE_MESH) and r < m
+        assert factor.flags.f_contiguous
+        path_jitter = PATH_JITTER_SCALE * np.max(np.diag(gram_matrix))
+        assert np.max(np.abs(factor @ factor.T - gram_matrix)) <= path_jitter
+
+    def test_chain_state_has_rank_length(self):
+        chain = DgpChain(_warp_spec(), _training_data(), MESH, 0.3, rng_seed=9)
+        r = chain._factor0.shape[1]
+        assert r < len(MESH)
+        assert chain.whitened_state[0].shape == (r,)
+        wide = DgpSpec(
+            depth=1, layer0_nu=3.5, layer0_lambda=5.0, width=3,
+            layers=(LayerSpec("mixture_f", base_nu=2.5),),
+        )
+        chain = DgpChain(wide, _training_data(), MESH, 0.3, rng_seed=9)
+        assert chain.whitened_state[0].shape == (3, r)
+
+    def test_no_kept_eigenpair_is_sampling_error(self, monkeypatch):
+        def empty_eigh(matrix, *args, **kwargs):
+            return np.empty(0), np.empty((len(matrix), 0), order="F")
+
+        monkeypatch.setattr(linalg, "eigh", empty_eigh)
+        with pytest.raises(SamplingError, match="no eigenvalue above the path jitter"):
+            _path_spectral(MaternKernel(3.5, 5.0), MESH)
 
 
 class TestChain:
@@ -213,10 +250,14 @@ class TestChain:
             DgpChain(_warp_spec(truncation=trunc), _training_data(), NON_UNIFORM_MESH, 0.25, 1)
 
     def test_unfactorable_path_is_sampling_error(self, monkeypatch):
-        def failing_cholesky(*args, **kwargs):
+        """Layer 0 is factored by ``eigh`` and every other path by Cholesky;
+        either failing is a SamplingError naming the path jitter."""
+
+        def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
-        monkeypatch.setattr(linalg, "cholesky", failing_cholesky)
+        monkeypatch.setattr(linalg, "cholesky", failing)
+        monkeypatch.setattr(linalg, "eigh", failing)
         with pytest.raises(SamplingError, match="path jitter"):
             sample_dgp_prior(_warp_spec(), MESH, seed=0)
         with pytest.raises(SamplingError, match="path jitter"):
