@@ -103,15 +103,11 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("argument must be strictly positive")
-    scalar = x.ndim == 0
-    flat = np.atleast_1d(np.ravel(x))
-    if flat.size > _CHUNK:
-        out = np.empty_like(flat)
-        for start in range(0, flat.size, _CHUNK):
-            out[start : start + _CHUNK] = _log_bessel_chunk(nu, flat[start : start + _CHUNK])
-        return out[0] if scalar else out.reshape(x.shape)
-    out = _log_bessel_chunk(nu, flat)
-    return out[0] if scalar else out.reshape(x.shape)
+    flat = np.ravel(x)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = _log_bessel_chunk(nu, flat[start : start + _CHUNK])
+    return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _log_bessel_chunk(nu: float, x: np.ndarray) -> np.ndarray:

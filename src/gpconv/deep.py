@@ -43,7 +43,6 @@ from .gp import (
     TrainingData,
     _condition,
     _path_cholesky,
-    _path_draw,
     _path_spectral,
     posterior_mean,
 )
@@ -124,7 +123,6 @@ class DgpSpec:
     layer0_sigma_sq: float = 1.0
     width: int = 1
     rescale_warp: bool = False
-    domain: tuple[float, float] = (0.0, 5.0)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -141,16 +139,13 @@ class DgpSpec:
                 raise ParameterError(
                     "truncation is only legal on the layer feeding the final kernel"
                 )
-        if not self.domain[0] < self.domain[1]:
-            raise ParameterError("domain must satisfy a < b")
         self.layer0_kernel()
 
     def layer0_kernel(self) -> MaternKernel:
         return MaternKernel(self.layer0_nu, self.layer0_lambda, self.layer0_sigma_sq)
 
 
-def _affine_rescale(values: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
-    a, b = domain
+def _affine_rescale(values: np.ndarray, a: float, b: float) -> np.ndarray:
     lo, hi = float(np.min(values)), float(np.max(values))
     if hi - lo <= 0.0:
         raise DomainError("warp layer is constant; affine rescaling is degenerate")
@@ -162,15 +157,15 @@ def layer_kernel(
     prev_values: np.ndarray,
     mesh: np.ndarray,
     rescale_warp: bool,
-    domain: tuple[float, float],
 ) -> KernelSpec:
     """Kernel of the next layer, built from the previous layer's mesh values.
 
     Mesh values are extended to arbitrary inputs by piecewise-linear
-    interpolation.  For warping, the layer itself is the warping map
-    (optionally rescaled affinely onto the domain); for mixture_f the
-    coefficient is F(layer) = layer^2 + eta.  A (width, m) array of
-    previous values yields a multi-component mixture.
+    interpolation.  For warping, the layer itself is the warping map,
+    optionally rescaled affinely onto [mesh[0], mesh[-1]] (for a chain,
+    the experiment's domain); for mixture_f the coefficient is
+    F(layer) = layer^2 + eta.  A (width, m) array of previous values
+    yields a multi-component mixture.
     """
     base = layer.base_kernel()
     prev_values = np.asarray(prev_values, dtype=float)
@@ -180,7 +175,7 @@ def layer_kernel(
     if layer.construction == "warp":
         if prev_values.ndim != 1:
             raise ParameterError("warp construction takes a single previous layer")
-        vals = _affine_rescale(prev_values, domain) if rescale_warp else prev_values
+        vals = _affine_rescale(prev_values, mesh[0], mesh[-1]) if rescale_warp else prev_values
         return WarpKernel(w=piecewise_linear(mesh, vals, label="layer warp"), base=base)
 
     rows = prev_values[None, :] if prev_values.ndim == 1 else prev_values
@@ -228,10 +223,10 @@ def _hidden_layers(
     from their whitened coefficients.  ``factor0`` is the rank-r spectral
     factor of the f0 Gram matrix (``_path_spectral``); each deeper layer
     is drawn from the Cholesky factor of its own kernel's Gram matrix."""
-    hidden = [_path_draw(factor0, whitened[0])]
+    hidden = [whitened[0] @ factor0.T]
     for layer, xi in zip(spec.layers, whitened[1:]):
-        kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp, spec.domain)
-        hidden.append(_path_draw(_path_cholesky(kernel, mesh), xi))
+        kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp)
+        hidden.append(xi @ _path_cholesky(kernel, mesh).T)
     return hidden
 
 
@@ -260,8 +255,8 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
             f"no prior draw satisfied the norm ball after {attempts} attempts "
             f"(empirical acceptance rate 0/{attempts}); enlarge the radius"
         )
-    final_kernel = layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp, spec.domain)
-    final = _path_draw(_path_cholesky(final_kernel, mesh), rng.standard_normal(len(mesh)))
+    final_kernel = layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp)
+    final = rng.standard_normal(len(mesh)) @ _path_cholesky(final_kernel, mesh).T
     return hidden + [final]
 
 
@@ -299,11 +294,13 @@ class DgpChain:
 
     The whole trajectory is reproducible from (spec, data, mesh, step_beta,
     rng_seed) at fixed numpy, scipy and OpenBLAS versions, a fixed CPU
-    (OpenBLAS picks its kernels per CPU) and a fixed ``eigh`` driver.  The
-    ``figures`` and ``dgp`` commands run on one BLAS thread; called from
-    elsewhere, the trajectory also depends on the BLAS thread count.  A
-    change of any of these reorders floating-point sums, which can flip an
-    accept/reject decision and send the chain down another path.
+    (OpenBLAS picks its kernels per CPU) and a fixed ``eigh`` driver.
+    Path products ``xi @ factor.T`` run on numpy's bundled OpenBLAS, the
+    factorisations and solves on scipy's.  The ``figures`` and ``dgp``
+    commands pin both to one thread; called from elsewhere, the trajectory
+    also depends on the BLAS thread counts.  A change of any of these
+    reorders floating-point sums, which can flip an accept/reject decision
+    and send the chain down another path.
     """
 
     def __init__(
@@ -368,9 +365,7 @@ class DgpChain:
                 self.n_trunc_rejections += 1
                 return None
 
-            final_kernel = layer_kernel(
-                spec.layers[-1], hidden[-1], self.mesh, spec.rescale_warp, spec.domain
-            )
+            final_kernel = layer_kernel(spec.layers[-1], hidden[-1], self.mesh, spec.rescale_warp)
             post = _condition(final_kernel, self.data, (0.0,))
         except GpconvError:
             post = None

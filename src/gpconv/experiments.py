@@ -11,11 +11,12 @@ Configs serialise to and from JSON by one rule read off the dataclass
 fields: an object holds a dataclass's fields under their names (a kernel
 adds its ``variant``) and may leave out any field with a default, so each
 default is stated once, on its dataclass.  An unknown key or a value of the
-wrong type is a ``ConfigError`` naming its key path.  Three layouts are
-exceptions: mixture components are ``{"sigma", "base"}`` objects, the
-hierarchy's initial layer is a ``"layer0": {nu, lam, sigma_sq}`` block, and
-a convolution kernel accepts the legacy ``"dim": 1``.  ``config_to_dict``
-writes every field, defaults included.
+wrong type is a ``ConfigError`` naming its key path.  Two layouts are
+exceptions: mixture components are ``{"sigma", "base"}`` objects, and the
+hierarchy's initial layer is a ``"layer0": {nu, lam, sigma_sq}`` block.
+``config_to_dict`` writes every field, defaults included.  A hierarchy has
+no domain of its own: a rescaled warp layer maps onto the config's
+``domain``, the ends of the evaluation mesh its chain runs on.
 
 Random streams are split deterministically from (seed, config id, level),
 so results do not depend on execution order.
@@ -542,17 +543,11 @@ def _decode_object(cls, data, path: str):
     hints = typing.get_type_hints(cls)
     if cls is MixtureKernel:
         hints["components"] = tuple[_Component, ...]
-    if cls is ConvolutionKernel and "dim" in data:
-        dim = data.pop("dim")
-        if type(dim) is not int or dim != 1:
-            raise _error(_join(path, "dim"), f"convolution kernels are 1-D; got dim {dim!r}")
     if cls is deep.DgpSpec:
         layer0 = data.pop("layer0", {})
         if not isinstance(layer0, dict):
             raise _error(_join(path, "layer0"), f"expected an object, got {layer0!r}")
         data.update({f"layer0.{key}": value for key, value in layer0.items()})
-        if "domain" in data:
-            data["domain"] = _interval(data["domain"], f"{_join(path, 'domain')}: hierarchy domain")
     names = {_LAYER0.get(f.name, f.name): f for f in fields(cls)}  # by JSON key
     if unknown := [_join(path, key) for key in data if key not in names]:
         raise ConfigError(f"unknown keys {unknown}")

@@ -10,12 +10,13 @@ where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 
-Prior paths on a mesh are drawn by one product, ``_path_draw``, from one of
-two factors of the Gram matrix on the mesh.  ``_path_spectral`` keeps the
-eigenpairs above the path jitter; ``deep`` draws layer 0 from it, whose
-kernel is fixed for the whole chain.  ``_path_cholesky`` factors the Gram
-matrix plus the path jitter; ``sample_prior`` and every deeper layer of
-``deep`` draw from it.
+A prior path on a mesh is ``xi @ factor.T``, for standard normal
+coefficients xi and one of two factors of the Gram matrix on the mesh; a
+(width, k) array of coefficients gives width paths.  ``_path_spectral``
+keeps the eigenpairs above the path jitter; ``deep`` draws layer 0 from
+it, whose kernel is fixed for the whole chain.  ``_path_cholesky`` factors
+the Gram matrix plus the path jitter; ``sample_prior`` and every deeper
+layer of ``deep`` draw from it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas
 
 from .errors import ParameterError, SamplingError, SingularGramError
 from .kernels import KernelSpec, _as_points, gram, kernel_diag, kernel_matrix
@@ -34,7 +34,7 @@ DEFAULT_JITTER = 1e-15
 JITTER_ESCALATION = 1000.0
 VARIANCE_CLAMP = 1e-8
 PATH_JITTER_SCALE = 1e-12
-# Cross-matrix entries per posterior_mean block (512 KB of float64)
+# Cross-matrix entries per prediction block (512 KB of float64)
 PREDICT_BLOCK_ENTRIES = 2**16
 
 
@@ -147,33 +147,39 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
 def posterior_mean(post: GpPosterior, query) -> np.ndarray:
     """Posterior mean at the query points.
 
-    The query is taken in blocks of ``_block_rows(N)`` points; each block's
-    rows of the cross matrix k(query, U) are built and multiplied by the
-    weights on their own, so no query-sized matrix is ever held.  A cross-matrix entry depends only on its own pair of
-    points, and at one BLAS thread a row's product with the weights does
-    not depend on the rows around it as long as blocks start at multiples
-    of 4 and no block is a lone row (numpy sends a one-row product to dot,
-    not gemv, so a lone last row joins the block before).  So at one BLAS
-    thread the result is bit-identical to ``kernel_matrix(spec, query, U)
-    @ weights``; the ``figures`` and ``dgp`` commands run on one thread.
-    With more threads, as in ``run`` and direct library calls, OpenBLAS
-    splits each product by its height, and the last bits can differ from
-    the unblocked product.
+    Each ``_cross_blocks`` block of the cross matrix k(query, U) is
+    multiplied by the weights on its own, so no query-sized matrix is ever
+    held.  A cross-matrix entry depends only on its own pair of points, and
+    at one BLAS thread a row's product with the weights does not depend on
+    the rows around it as long as blocks start at multiples of 4 and no
+    block is a lone row (numpy sends a one-row product to dot, not gemv).
+    So at one BLAS thread the result is bit-identical to
+    ``kernel_matrix(spec, query, U) @ weights``; the ``figures`` and
+    ``dgp`` commands run on one thread.  With more threads, as in ``run``
+    and direct library calls, OpenBLAS splits each product by its height,
+    and the last bits can differ from the unblocked product.
     """
     query = _as_points(query)
-    n, rows = len(query), _block_rows(post.data.n)
-    mean = np.empty(n)
-    start = 0
-    while start < n:
-        stop = n if n - start <= rows + 1 else start + rows
-        cross = kernel_matrix(post.spec, query[start:stop], post.data.points)
-        np.matmul(cross, post.weights, out=mean[start:stop])
-        start = stop
+    mean = np.empty(len(query))
+    for rows, cross in _cross_blocks(post, query):
+        np.matmul(cross, post.weights, out=mean[rows])
     return mean
 
 
+def _cross_blocks(post: GpPosterior, query: np.ndarray):
+    """Yield (rows, k(query[rows], U)) for consecutive blocks of
+    ``_block_rows(N)`` query points; a lone last row joins the block
+    before."""
+    n, size = len(query), _block_rows(post.data.n)
+    start = 0
+    while start < n:
+        stop = n if n - start <= size + 1 else start + size
+        yield slice(start, stop), kernel_matrix(post.spec, query[start:stop], post.data.points)
+        start = stop
+
+
 def _block_rows(n_points: int) -> int:
-    """Query rows per ``posterior_mean`` block against N = n_points design
+    """Query rows per prediction block against N = n_points design
     points: ``PREDICT_BLOCK_ENTRIES`` // N rounded down to a multiple of 4,
     and at least 4.
 
@@ -196,23 +202,28 @@ def posterior_cov(post: GpPosterior, u, v) -> float:
     When u and v coincide the result is a variance: values in
     [-1e-8, 0) are clamped to 0 and anything more negative raises,
     since that signals real cancellation trouble rather than roundoff.
+    With L the factor, the subtracted term is (L^-1 k(u, U)) . (L^-1 k(v, U)).
     """
-    ku = kernel_matrix(post.spec, u, post.data.points)[0]
-    kv = kernel_matrix(post.spec, v, post.data.points)[0]
+    cross = kernel_matrix(post.spec, np.ravel([u, v]), post.data.points)
+    half = linalg.solve_triangular(post.factor, cross.T, lower=True, check_finite=False)
     prior = kernel_matrix(post.spec, u, v)[0, 0]
-    solved = linalg.cho_solve((post.factor, True), kv, check_finite=False)
-    value = float(prior - ku @ solved)
+    value = float(prior - half[:, 0] @ half[:, 1])
     if np.array_equal(np.asarray(u, dtype=float), np.asarray(v, dtype=float)):
         return _clamp_variance(value)
     return value
 
 
 def posterior_var(post: GpPosterior, query) -> np.ndarray:
-    """Posterior variance at each query point, clamped at zero."""
-    cross = kernel_matrix(post.spec, query, post.data.points)
-    prior_diag = kernel_diag(post.spec, query)
-    solved = linalg.cho_solve((post.factor, True), cross.T, check_finite=False)
-    raw = prior_diag - np.sum(cross * solved.T, axis=1)
+    """Posterior variance at each query point, clamped at zero.
+
+    Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over
+    ``posterior_mean``'s row blocks, so no query-sized cross matrix is held.
+    """
+    query = _as_points(query)
+    raw = kernel_diag(post.spec, query)
+    for rows, cross in _cross_blocks(post, query):
+        half = linalg.solve_triangular(post.factor, cross.T, lower=True, check_finite=False)
+        raw[rows] -= np.sum(half**2, axis=0)
     # the most negative value decides: the clamp raises on it, or all clamp to 0
     _clamp_variance(float(np.min(raw, initial=0.0)))
     return np.maximum(raw, 0.0)
@@ -251,13 +262,12 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
 
     (s_r, U_r) are the r eigenpairs of K whose eigenvalue exceeds the path
     jitter, so B B^T differs from K by at most about the path jitter, and a
-    path is ``_path_draw(B, xi)`` for a standard normal r-vector xi (the
-    truncated Karhunen-Loeve expansion).  Smooth kernels need few
-    coefficients: for the reference TDGP layer 0 (nu = 7/2, lambda = 5, a
-    1024-point mesh on [0, 5]) r = 73.  B is F-contiguous, as
-    ``_path_draw`` wants.  The LAPACK driver is fixed, because drivers
-    differ in the last bits and in which eigenvalues near the jitter they
-    keep (``evd`` keeps 72 pairs of that matrix, ``evr`` 73).  Raises
+    path is ``xi @ B.T`` for a standard normal r-vector xi (the truncated
+    Karhunen-Loeve expansion).  Smooth kernels need few coefficients: for
+    the reference TDGP layer 0 (nu = 7/2, lambda = 5, a 1024-point mesh on
+    [0, 5]) r = 73.  The LAPACK driver is fixed, because drivers differ in
+    the last bits and in which eigenvalues near the jitter they keep
+    (``evd`` keeps 72 pairs of that matrix, ``evr`` 73).  Raises
     SamplingError when the eigensolver fails or keeps no pair.
     """
     gram_matrix, path_jitter = _path_gram(spec, mesh)
@@ -283,27 +293,6 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _path_draw(factor: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """``factor @ xi`` for a 1-D state, ``xi @ factor.T`` for a (width, k) one,
-    with ``factor`` an (m, k) path factor.
-
-    numpy and scipy each bundle their own OpenBLAS, and each keeps a pool of
-    busy-waiting worker threads.  A pCN step that sent its products through
-    numpy and its Cholesky and solve through scipy made the two pools fight
-    for the cores: on a 2-core Xeon VM the median step of the reference
-    chain at N=256 took 8.0 ms, against 2.0 ms with every product on
-    scipy's library.  ``factor`` should be F-contiguous, as the factors of
-    ``_path_cholesky`` and ``_path_spectral`` are; a C-ordered operand is
-    copied on every call.  For a 1-D state the result is bit-identical to
-    ``factor @ xi``.
-    """
-    if xi.ndim == 1:
-        return blas.dgemv(1.0, factor, xi)
-    # xi.T is the F-contiguous (k, width) view; the product comes back as
-    # (m, width) in F order, whose transpose is a C-ordered (width, m) array.
-    return blas.dgemm(1.0, factor, xi.T).T
-
-
 def sample_prior(spec: KernelSpec, mesh, seed: int) -> np.ndarray:
     """One zero-mean prior path on the mesh; deterministic in (spec, mesh, seed).
 
@@ -314,4 +303,4 @@ def sample_prior(spec: KernelSpec, mesh, seed: int) -> np.ndarray:
     if mesh.size == 0:
         raise ParameterError("mesh must be non-empty")
     rng = np.random.default_rng(seed)
-    return _path_draw(_path_cholesky(spec, mesh), rng.standard_normal(mesh.size))
+    return rng.standard_normal(mesh.size) @ _path_cholesky(spec, mesh).T

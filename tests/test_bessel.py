@@ -30,6 +30,15 @@ class TestAgainstScipy:
         ok = np.isfinite(ref)
         np.testing.assert_allclose(log_bessel_k(nu, x)[ok], ref[ok], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("nu", [120.5, 200.0, 400.0])
+    def test_large_order_against_mpmath(self, nu):
+        # where kve overflows at small x, which test_large_order filters out
+        mpmath = pytest.importorskip("mpmath")
+        x = np.logspace(-4, np.log10(50.0), 60)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.besselk(nu, xi))) for xi in x])
+        np.testing.assert_allclose(log_bessel_k(nu, x), ref, rtol=1e-13, atol=0)
+
     def test_chunking_matches_single_batch(self):
         x = np.random.default_rng(0).uniform(1e-3, 40.0, 40000)
         whole = log_bessel_k(3.0, x)

@@ -10,8 +10,6 @@ from gpconv.deep import (
     DgpSpec,
     LayerSpec,
     Truncation,
-    _path_cholesky,
-    _path_draw,
     dgp_posterior_mean,
     layer_kernel,
     sample_dgp_prior,
@@ -32,7 +30,6 @@ def _warp_spec(truncation=None, layer0_lambda=5.0):
         layer0_lambda=layer0_lambda,
         layers=(LayerSpec("warp", base_nu=2.5, truncation=truncation),),
         rescale_warp=True,
-        domain=(0.0, 5.0),
     )
 
 
@@ -42,7 +39,6 @@ def _mixture_spec(layer0_sigma_sq=1.0, eta=1.0):
         layer0_nu=3.5,
         layer0_sigma_sq=layer0_sigma_sq,
         layers=(LayerSpec("mixture_f", base_nu=2.5, link_eta=eta),),
-        domain=(0.0, 5.0),
     )
 
 
@@ -86,7 +82,7 @@ class TestSampleDgpPrior:
         is exactly the base Matern of the last layer."""
         spec = _mixture_spec(layer0_sigma_sq=1e-300, eta=1.0)
         layers = sample_dgp_prior(spec, MESH, seed=3)
-        induced = layer_kernel(spec.layers[0], layers[0], MESH, False, spec.domain)
+        induced = layer_kernel(spec.layers[0], layers[0], MESH, False)
         probe = MESH[::10]
         np.testing.assert_allclose(
             gram(induced, probe), gram(MaternKernel(2.5), probe), atol=1e-12
@@ -155,26 +151,23 @@ class TestSampleDgpPrior:
         for seed in range(3):
             for spec in [_warp_spec(), _mixture_spec()]:
                 layers = sample_dgp_prior(spec, MESH, seed=seed)
-                induced = layer_kernel(
-                    spec.layers[0], layers[0], MESH, spec.rescale_warp, spec.domain
-                )
+                induced = layer_kernel(spec.layers[0], layers[0], MESH, spec.rescale_warp)
                 ok, smallest = check_psd(induced, pts, tol=1e-6)
                 assert ok, f"smallest eigenvalue {smallest}"
 
 
-class TestPathDraw:
-    def test_vector_state_bit_identical_to_matmul(self):
-        chol = _path_cholesky(MaternKernel(3.5, 5.0), MESH)
-        xi = np.random.default_rng(0).standard_normal(len(MESH))
-        assert np.array_equal(_path_draw(chol, xi), chol @ xi)
+class TestLayerKernel:
+    def test_rescaled_warp_spans_the_mesh(self):
+        """A rescaled warp layer maps onto the mesh's own interval."""
+        mesh = np.linspace(0.0, 10.0, 201)
+        layer = np.sin(mesh) + 0.3 * mesh
+        kernel = layer_kernel(LayerSpec("warp", base_nu=2.5), layer, mesh, rescale_warp=True)
+        warp = kernel.w(mesh)
+        assert (warp.min(), warp.max()) == (0.0, 10.0)
 
-    def test_width_state_matches_matmul(self):
-        chol = _path_cholesky(MaternKernel(3.5, 5.0), MESH)
-        xi = np.random.default_rng(1).standard_normal((3, len(MESH)))
-        drawn = _path_draw(chol, xi)
-        expected = xi @ chol.T
-        assert drawn.shape == (3, len(MESH))
-        assert np.max(np.abs(drawn - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+class TestPathDraw:
+    """Chains whose paths are drawn as ``xi @ factor.T`` rerun bit for bit."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -281,7 +274,7 @@ class TestChain:
         chain = DgpChain(_warp_spec(), data, MESH, step_beta=0.0, rng_seed=11)
         mean = dgp_posterior_mean(chain, n_burn=3, n_iter=4)
         induced = layer_kernel(
-            chain.spec.layers[0], chain._current["hidden"][-1], MESH, True, chain.spec.domain
+            chain.spec.layers[0], chain._current["hidden"][-1], MESH, True
         )
         post = fit(induced, data, jitter=0.0)
         reference = posterior_mean(post, MESH)
@@ -295,7 +288,7 @@ class TestChain:
         for _ in range(5):
             chain.step()
         induced = layer_kernel(
-            chain.spec.layers[0], chain._current["hidden"][-1], MESH, True, chain.spec.domain
+            chain.spec.layers[0], chain._current["hidden"][-1], MESH, True
         )
         post = fit(induced, data, jitter=0.0)
         assert chain.log_likelihood == -post.neg_log_like

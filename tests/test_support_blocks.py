@@ -1,17 +1,20 @@
 """Mixture components evaluated on their support, and row-blocked prediction.
 
 Both are exact rewrites: the results must equal the plain formulas bit for
-bit, not just to a tolerance.
+bit, not just to a tolerance.  The blocked posterior variance is the one
+exception; it solves by one triangular factor instead of two, so it
+matches the plain formula to roundoff.
 """
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from gpconv import gp
 from gpconv.errors import DomainError
 from gpconv.experiments import builtin_figures
 from gpconv.functions import make_function
-from gpconv.gp import TrainingData, fit, posterior_mean
+from gpconv.gp import TrainingData, fit, posterior_mean, posterior_var
 from gpconv.kernels import ConvolutionKernel, MaternKernel, MixtureKernel, kernel_diag, kernel_matrix
 
 FIGURES = {c.id: c for c in builtin_figures()}
@@ -123,6 +126,30 @@ def test_blocked_mean_matches_one_product(fig, length, monkeypatch):
     np.testing.assert_array_equal(
         posterior_mean(post, query), kernel_matrix(spec, query, design) @ post.weights
     )
+
+
+@pytest.mark.parametrize("length", [1, ROWS - 1, ROWS, ROWS + 1, 1000])
+@pytest.mark.parametrize("fig", ["fig_mix3_indicator", "fig_warp", "fig_conv"])
+def test_blocked_var_matches_plain_formula(fig, length, monkeypatch):
+    monkeypatch.setattr(gp, "PREDICT_BLOCK_ENTRIES", 8 * ROWS)
+    rows_per_call = []
+
+    def recording_kernel_matrix(spec, u, *rest):
+        rows_per_call.append(np.size(u))
+        return kernel_matrix(spec, u, *rest)
+
+    spec = FIGURES[fig].kernel
+    design = np.linspace(0.3, 4.7, 8)
+    post = fit(spec, TrainingData(design, np.sin(2.0 * design), 1e-6))
+    query = np.linspace(0.0, 5.0, length)
+    cross = kernel_matrix(spec, query, design)
+    solved = linalg.cho_solve((post.factor, True), cross.T)
+    expected = kernel_diag(spec, query) - np.sum(cross * solved.T, axis=1)
+
+    monkeypatch.setattr(gp, "kernel_matrix", recording_kernel_matrix)
+    np.testing.assert_allclose(posterior_var(post, query), expected, rtol=0, atol=1e-12)
+    # a lone last row joins the block before, so a block holds at most ROWS + 1
+    assert sum(rows_per_call) == length and max(rows_per_call) <= ROWS + 1
 
 
 def test_blocked_mean_of_empty_and_scalar_query():
