@@ -30,7 +30,10 @@ def _log_cosh(z: np.ndarray) -> np.ndarray:
 
 
 def _log_integrand(t: np.ndarray, nu: float, x: np.ndarray) -> np.ndarray:
-    return -x * np.cosh(t) + _log_cosh(nu * t)
+    # far out in the tail (small nu and x let the bracketing reach t ~ 800)
+    # cosh overflows to inf, and the log integrand is -inf, its limit there
+    with np.errstate(over="ignore"):
+        return -x * np.cosh(t) + _log_cosh(nu * t)
 
 
 def _peak_location(nu: float, x: np.ndarray) -> np.ndarray:

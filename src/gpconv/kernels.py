@@ -6,8 +6,13 @@ The stationary building block is the Matern kernel
            K_nu(sqrt(2 nu) r / lambda),
 
 with the Gaussian kernel sigma^2 exp(-r^2 / (2 lambda^2)) as the nu -> inf
-limit, kept as its own variant.  Non-stationary kernels are built from these
-by input warping, coefficient mixtures, or position-dependent length scales
+limit, kept as its own variant.  A Matern order takes one of four routes:
+half-integer orders nu = p + 1/2 use the exponential-times-polynomial closed
+form; integer orders use the upward recurrence for K_n from K_0 and K_1
+(DLMF 10.29.1); other orders use scipy's ``special.kv``; entries where
+either Bessel route over- or underflows are redone in log space with
+``bessel.log_bessel_k``.  Non-stationary kernels are built from these by
+input warping, coefficient mixtures, or position-dependent length scales
 with a normalising prefactor.
 """
 
@@ -35,6 +40,9 @@ from .functions import FunctionHandle
 C0_DERIVATIVE_BOUND = 1.0866
 
 _BELL_MAX_N = 25
+
+# smallest normal double
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -155,18 +163,25 @@ def _matern_profile(nu: float, lam: float, sigma_sq: float, r: np.ndarray) -> np
 def _matern_bessel_profile(nu: float, sigma_sq: float, z: np.ndarray) -> np.ndarray:
     """Bessel-function form of the Matern kernel; z = sqrt(2 nu) r / lambda.
 
-    The fast path evaluates K_nu directly; entries where that over- or
-    underflows (tiny z, or very large orders) are redone in log space with
-    the self-contained routine, so the whole (nu, z) range is covered.
+    Integer orders go through ``_integer_order_profile``, the recurrence for
+    K_n; other orders evaluate K_nu with ``special.kv``.  Entries where that
+    over- or underflows (tiny z, z past about 705, or very large orders) are
+    redone in log space with the self-contained ``log_bessel_k``, so the
+    whole (nu, z) range is covered.  A z below the normal range gives
+    sigma_sq, as z = 0 does: ``log_bessel_k`` cannot evaluate there, and the
+    profile is 1 to double precision for every order above 0.03.
     """
     out = np.full(z.shape, sigma_sq, dtype=float)
-    pos = z > 0.0
+    pos = z >= _TINY
     if not np.any(pos):
         return out
     zp = z[pos]
     prefactor_log = (1.0 - nu) * math.log(2.0) - math.lgamma(nu)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        direct = special.kv(nu, zp) * np.exp(prefactor_log + nu * np.log(zp))
+        if nu == math.floor(nu):
+            direct = _integer_order_profile(int(nu), zp)
+        else:
+            direct = special.kv(nu, zp) * np.exp(prefactor_log + nu * np.log(zp))
     bad = ~np.isfinite(direct) | (direct <= 0.0)
     if np.any(bad):
         log_k = prefactor_log + nu * np.log(zp[bad]) + log_bessel_k(nu, zp[bad])
@@ -175,12 +190,42 @@ def _matern_bessel_profile(nu: float, sigma_sq: float, z: np.ndarray) -> np.ndar
     return out
 
 
+def _integer_order_profile(n: int, z: np.ndarray) -> np.ndarray:
+    """2^(1-n)/Gamma(n) z^n K_n(z) for an integer order n >= 1 and z > 0.
+
+    The upward recurrence K_{k+1} = K_{k-1} + (2k/z) K_k (DLMF 10.29.1) is
+    stable for K.  It runs on b_k = z^k K_k(z) / (2^(k-1) (k-1)!), so that
+    b_n is the profile itself:
+
+        b_1 = z K_1(z),   b_2 = b_1 + z^2 K_0(z) / 2,
+        b_{k+1} = b_k + z^2 b_{k-1} / (4k(k-1)).
+
+    Each b_k with k >= 1 is the order-k profile, in (0, 1], so no order and
+    no normal z overflows, and b_n -> 1 as z -> 0.  For n = 3 this is
+    (z^3 K_1 + 8z K_1 + 4z^2 K_0) / 8.
+    Where K_0 falls below the normal range (z past about 705) its last bits
+    are gone; those entries come back NaN, for the caller's log-space route.
+    """
+    k0 = special.k0(z)
+    k0[k0 < _TINY] = np.nan
+    z_sq = z * z
+    prev, cur = k0, z * special.k1(z)
+    for k in range(1, n):
+        prev *= z_sq
+        prev /= 2 if k == 1 else 4 * k * (k - 1)
+        prev += cur
+        prev, cur = cur, prev
+    return cur
+
+
 def matern_eval(nu: float, lam: float, sigma_sq: float, r: float) -> float:
     """Matern kernel value at distance r; nu = inf gives the Gaussian kernel.
 
     The r = 0 value is sigma_sq exactly (the Bessel form has a removable
-    singularity there).  Half-integer orders use the closed form; other
-    orders go through the Bessel-function representation.
+    singularity there).  Half-integer orders use the closed form, integer
+    orders the K_0/K_1 recurrence (DLMF 10.29.1), and other orders
+    ``special.kv``; both Bessel routes fall back to ``log_bessel_k`` in log
+    space where they over- or underflow.
     """
     spec = GaussianKernel(lam, sigma_sq) if nu == math.inf else MaternKernel(nu, lam, sigma_sq)
     if r < 0:

@@ -6,6 +6,8 @@ exponentially scaled variant covers the large-order regime.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from gpconv.bessel import log_bessel_k
@@ -44,6 +46,32 @@ class TestAgainstScipy:
         whole = log_bessel_k(3.0, x)
         parts = np.concatenate([log_bessel_k(3.0, x[:111]), log_bessel_k(3.0, x[111:])])
         np.testing.assert_allclose(whole, parts, rtol=0, atol=1e-12)
+
+
+_ORDERS = st.floats(0.0, 50.0, exclude_min=True)
+_ARGUMENTS = st.floats(1e-6, 100.0)
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+class TestRandomOrders:
+    """Random (nu, x) with nu in (0, 50] and x in [1e-6, 100], at the
+    tolerances of the parametrised checks above."""
+
+    @settings(_PROPERTY, max_examples=200)
+    @given(nu=_ORDERS, x=_ARGUMENTS)
+    def test_matches_scipy_where_finite(self, nu, x):
+        ref = np.log(special.kv(nu, x))
+        if not np.isfinite(ref):
+            return
+        np.testing.assert_allclose(log_bessel_k(nu, x), ref, rtol=0, atol=1e-11)
+
+    @settings(_PROPERTY, max_examples=40)
+    @given(nu=_ORDERS, x=_ARGUMENTS)
+    def test_matches_mpmath(self, nu, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.log(mpmath.besselk(nu, x)))
+        np.testing.assert_allclose(log_bessel_k(nu, x), ref, rtol=1e-13, atol=0)
 
 
 class TestInterface:

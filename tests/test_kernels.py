@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from gpconv import kernels
 from gpconv.bessel import log_bessel_k
 from gpconv.errors import (
     DomainError,
@@ -304,6 +305,67 @@ class TestDerivativeBoundConstant:
             derivative_bound_constant(spec, 1, {})
 
 
+_INTEGER_ORDERS = [1, 2, 3, 4, 6, 10]
+
+
+def _log_space_profile(nu: float, z: np.ndarray) -> np.ndarray:
+    """2^(1-nu)/Gamma(nu) z^nu K_nu(z) through log_bessel_k alone."""
+    log_k = (1 - nu) * math.log(2) - math.lgamma(nu) + nu * np.log(z) + log_bessel_k(nu, z)
+    return np.exp(log_k)
+
+
+class TestIntegerOrders:
+    """Integer orders take the K_0/K_1 recurrence; mpmath is the oracle."""
+
+    @pytest.mark.parametrize("n", _INTEGER_ORDERS)
+    def test_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        z = np.logspace(-12, math.log10(700.0), 100)
+        with mpmath.workdps(40):
+            ref = np.array([
+                float(mpmath.mpf(2) ** (1 - n) / mpmath.gamma(n) * mpmath.mpf(zi) ** n
+                      * mpmath.besselk(n, zi))
+                for zi in z
+            ])
+        got = kernels._matern_bessel_profile(float(n), 1.0, z)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", _INTEGER_ORDERS)
+    @pytest.mark.parametrize("sigma_sq", [0.7, 1.0, 3.0])
+    def test_zero_distance_exact(self, n, sigma_sq):
+        assert matern_eval(float(n), 1.3, sigma_sq, 0.0) == sigma_sq
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    def test_past_k0_underflow_takes_log_space(self, n):
+        # K_0 leaves the normal range near z = 705 and is 0 past z = 746
+        z = np.array([706.0, 720.0, 740.0, 750.0])
+        got = kernels._matern_bessel_profile(float(n), 1.0, z)
+        np.testing.assert_array_equal(got, _log_space_profile(float(n), z))
+        assert np.all(got > 0) and np.all(np.isfinite(got))
+
+    def test_order_200_agrees_with_log_space(self):
+        # z^200 K_200(z) is outside the double range for z below about 600
+        z = np.logspace(-3, math.log10(700.0), 80)
+        got = kernels._matern_bessel_profile(200.0, 1.0, z)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got, _log_space_profile(200.0, z), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("nu", [0.8, 3.0, 7.25])
+    def test_subnormal_distance_is_zero_distance(self, nu):
+        got = kernels._matern_bessel_profile(nu, 2.0, np.array([5e-324, 1e-310]))
+        np.testing.assert_array_equal(got, [2.0, 2.0])
+
+    def test_order_40_gram(self):
+        spec = MaternKernel(40.0, 1.0, 2.0)
+        pts = np.linspace(0.0, 5.0, 64)
+        matrix = gram(spec, pts)
+        assert np.all(np.isfinite(matrix))
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 2.0)
+        ok, smallest = check_psd(spec, pts, tol=1e-10)
+        assert ok, f"smallest eigenvalue {smallest}"
+
+
 class TestMaternEvalOrders:
     @pytest.mark.parametrize("nu", [-math.inf, math.nan])
     def test_non_positive_or_nan_order_rejected(self, nu):
@@ -331,7 +393,7 @@ _POSITIVE_DESCRIPTIONS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("constant"), "value": _POSITIVE}),
 )
 _MATERN = st.builds(
-    MaternKernel, st.sampled_from([0.5, 1.5, 2.5, 3.5, 0.8, 3.0]), st.floats(0.2, 3.0), _POSITIVE
+    MaternKernel, st.sampled_from([0.5, 1.5, 2.5, 3.5, 0.8, 1.0, 2.0, 3.0]), st.floats(0.2, 3.0), _POSITIVE
 )
 _GAUSSIAN = st.builds(GaussianKernel, st.floats(0.2, 3.0), _POSITIVE)
 _STATIONARY = st.one_of(_MATERN, _GAUSSIAN)
