@@ -47,7 +47,16 @@ from .experiments import (
     run_dgp_convergence,
 )
 from .functions import FunctionHandle, make_function, piecewise_linear
-from .gp import GpPosterior, TrainingData, fit, posterior_cov, posterior_mean, posterior_var, sample_prior
+from .gp import (
+    GpPosterior,
+    TrainingData,
+    fit,
+    posterior_cov,
+    posterior_mean,
+    posterior_means,
+    posterior_var,
+    sample_prior,
+)
 from .kernels import (
     ConvolutionKernel,
     GaussianKernel,

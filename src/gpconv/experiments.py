@@ -20,6 +20,15 @@ no domain of its own: a rescaled warp layer maps onto the config's
 
 Random streams are split deterministically from (seed, config id, level),
 so results do not depend on execution order.
+
+A run has three phases: it fits every schedule level, timed per level;
+predicts every level's posterior mean on the evaluation mesh in one call
+(for a kernel, one ``gp.posterior_means`` pass that evaluates each block of
+the cross matrix once against the union of the levels' designs; for a
+hierarchy, the chains' means pass through); and then computes each level's
+error norms, timed per level.  A record's wall time is its own fit and
+norms plus the prediction time split in proportion to its N, so the
+records' times still add up to the study's time less its set-up.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .functions import (
     make_function,
     scalar_problem,
 )
-from .gp import DEFAULT_JITTER, TrainingData, fit, posterior_mean, posterior_var
+from .gp import DEFAULT_JITTER, TrainingData, fit, posterior_means, posterior_var
 from .kernels import (
     ConvolutionKernel,
     GaussianKernel,
@@ -238,11 +247,21 @@ def _fit_rates(
 
 
 def _run_levels(
-    config: ExperimentConfig, seed: int, fit_level
+    config: ExperimentConfig, seed: int, fit_level, predict
 ) -> tuple[list[ConvergenceRecord], dict[str, RateFit]]:
-    """The schedule loop of every runner.  ``fit_level(level, data, mesh)``
-    returns the posterior mean on the mesh and its own flags; the loop adds
-    the timing, the floored error norms (``saturation`` first) and the rates."""
+    """The schedule loop of every runner, in three phases.
+
+    1. Fit: ``fit_level(level, data, mesh)`` returns what prediction needs
+       of one level and that level's own flags; each level is timed.
+    2. Predict: ``predict(fitted, mesh)`` returns the posterior mean on the
+       mesh of every level, in schedule order, from one call.
+    3. Score: each level's floored error norms (``saturation`` first in its
+       flags), timed per level, and then the rates.
+
+    A record's ``wall_time_ms`` is its own fit and norms plus a share of
+    the prediction time in proportion to its N, so the records' times add
+    up to the study's time less the design and data set-up.
+    """
     if not config.recommended_mesh:
         warnings.warn(
             f"config {config.id!r}: eval_mesh_size {config.eval_mesh_size} is below "
@@ -250,24 +269,38 @@ def _run_levels(
             stacklevel=3,
         )
     mesh = config.eval_mesh()
-    records = []
+    levels = []
     for level, n in enumerate(config.n_schedule):
         h, data = _level_data(config, n, seed, level)
         start = time.perf_counter()
-        mean, flags = fit_level(level, data, mesh)
+        fitted, flags = fit_level(level, data, mesh)
+        levels.append((h, fitted, flags, time.perf_counter() - start))
+
+    start = time.perf_counter()
+    means = predict([fitted for _, fitted, _, _ in levels], mesh)
+    predict_s_per_point = (time.perf_counter() - start) / sum(config.n_schedule)
+
+    records = []
+    for n, mean, (h, _, flags, fit_s) in zip(config.n_schedule, means, levels):
+        start = time.perf_counter()
         raw = {kind: error_norm(config.truth, mean, mesh, kind) for kind in config.norms}
-        wall_ms = 1000.0 * (time.perf_counter() - start)
+        seconds = fit_s + (time.perf_counter() - start) + predict_s_per_point * n
         if any(value < ERROR_FLOOR for value in raw.values()):
             flags = ["saturation"] + flags
         errors = {kind: max(value, ERROR_FLOOR) for kind, value in raw.items()}
-        records.append(ConvergenceRecord(n, h, errors, wall_ms, flags))
+        records.append(ConvergenceRecord(n, h, errors, 1000.0 * seconds, flags))
     return records, _fit_rates(records, config.norms, config.rate_tail)
 
 
 def run_convergence(
     config: ExperimentConfig, seed: int
 ) -> tuple[list[ConvergenceRecord], dict[str, RateFit]]:
-    """Fit the kernel at every schedule level and fit rates per norm."""
+    """Fit the kernel at every schedule level, predict every level on the
+    mesh in one ``posterior_means`` pass, and fit rates per norm.
+
+    Only each level's design points and weights are kept until the
+    prediction, not its Cholesky factor, so at most one factor is held.
+    """
     if isinstance(config.kernel, deep.DgpSpec):
         raise ConfigError(
             f"config {config.id!r} holds a layered hierarchy; use run_dgp_convergence "
@@ -276,9 +309,12 @@ def run_convergence(
 
     def fit_level(level, data, mesh):
         post = fit(config.kernel, data, jitter=config.jitter)
-        return posterior_mean(post, mesh), ["jitter-escalation"] if post.escalated else []
+        return (data.points, post.weights), ["jitter-escalation"] if post.escalated else []
 
-    return _run_levels(config, seed, fit_level)
+    def predict(fitted, mesh):
+        return posterior_means(config.kernel, fitted, mesh)
+
+    return _run_levels(config, seed, fit_level, predict)
 
 
 def run_dgp_convergence(
@@ -288,6 +324,8 @@ def run_dgp_convergence(
 
     Requires a noise schedule; the level delta_N = c h^exponent feeds the
     marginal likelihood (and, when sample_noise is on, the observations).
+    A chain's average conditional mean is already on the mesh, so the
+    prediction phase passes the chain means through.
     """
     if not isinstance(config.kernel, deep.DgpSpec):
         raise ConfigError(
@@ -308,7 +346,7 @@ def run_dgp_convergence(
             flags.append("assembly-failures")
         return mean, flags
 
-    return _run_levels(config, seed, fit_level)
+    return _run_levels(config, seed, fit_level, lambda means, mesh: means)
 
 
 def mean_posterior_variance(config: ExperimentConfig, n: int, seed: int = 0) -> float:

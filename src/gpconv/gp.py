@@ -9,6 +9,11 @@ k, the posterior is the Gaussian process with
 where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
+``posterior_means`` predicts several fitted levels in one pass over the
+query points, evaluating each block of the cross matrix once against the
+union of the levels' designs; ``posterior_mean`` is its one-level case, so
+there is one prediction path.  At one BLAS thread every level's mean is
+bit-identical to the plain product of its own cross matrix and weights.
 
 A prior path on a mesh is ``xi @ factor.T``, for standard normal
 coefficients xi and one of two factors of the Gram matrix on the mesh; a
@@ -145,36 +150,84 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
 
 
 def posterior_mean(post: GpPosterior, query) -> np.ndarray:
-    """Posterior mean at the query points.
+    """Posterior mean at the query points: the one-level case of
+    ``posterior_means``, bit-identical to ``kernel_matrix(spec, query, U)
+    @ weights`` at one BLAS thread."""
+    return posterior_means(post.spec, [(post.data.points, post.weights)], query)[0]
 
-    Each ``_cross_blocks`` block of the cross matrix k(query, U) is
-    multiplied by the weights on its own, so no query-sized matrix is ever
-    held.  A cross-matrix entry depends only on its own pair of points, and
-    at one BLAS thread a row's product with the weights does not depend on
-    the rows around it as long as blocks start at multiples of 4 and no
-    block is a lone row (numpy sends a one-row product to dot, not gemv).
-    So at one BLAS thread the result is bit-identical to
-    ``kernel_matrix(spec, query, U) @ weights``; the ``figures`` and
-    ``dgp`` commands run on one thread.  With more threads, as in ``run``
-    and direct library calls, OpenBLAS splits each product by its height,
-    and the last bits can differ from the unblocked product.
+
+def posterior_means(spec: KernelSpec, levels, query) -> np.ndarray:
+    """Posterior means of several fitted levels at the query points, one row
+    per level; ``levels`` holds each level's (design points, weights).
+
+    The query is walked in ``_cross_blocks`` row blocks, and each block of
+    the cross matrix is evaluated once, against the union of the levels'
+    points (``_union_columns``).  A level's mean on the block is the
+    product of its columns of the block with its weights: a view when the
+    columns are a contiguous run of the union, else a gathered C-ordered
+    copy.  Nested designs, as in the built-in studies, pay for the finest
+    level's columns only, and no query-sized matrix is ever held.
+
+    A cross-matrix entry depends only on its own pair of points, and at one
+    BLAS thread a row's product with the weights depends neither on the
+    rows around it, as long as blocks start at multiples of 4 and no block
+    is a lone row (numpy sends a one-row product to dot, not gemv), nor on
+    the union columns around the level's own.  So at one BLAS thread each
+    level's mean is bit-identical to ``kernel_matrix(spec, query, U_l) @
+    w_l``; the ``figures`` and ``dgp`` commands run on one thread.  With
+    more threads, as in ``run`` and direct library calls, OpenBLAS splits
+    each product by its height, and the last bits can differ from the
+    unblocked product.
     """
     query = _as_points(query)
-    mean = np.empty(len(query))
-    for rows, cross in _cross_blocks(post, query):
-        np.matmul(cross, post.weights, out=mean[rows])
-    return mean
+    union, columns = _union_columns([_as_points(points) for points, _ in levels])
+    means = np.empty((len(levels), len(query)))
+    for rows, cross in _cross_blocks(spec, query, union):
+        for mean, cols, (_, weights) in zip(means, columns, levels):
+            block = cross[:, cols] if isinstance(cols, slice) else cross.take(cols, axis=1)
+            np.matmul(block, weights, out=mean[rows])
+    return means
 
 
-def _cross_blocks(post: GpPosterior, query: np.ndarray):
-    """Yield (rows, k(query[rows], U)) for consecutive blocks of
-    ``_block_rows(N)`` query points; a lone last row joins the block
-    before."""
-    n, size = len(query), _block_rows(post.data.n)
+def _union_columns(point_sets: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """The union of several point sets, and each set's columns in it.
+
+    The union lists each point once, by its bit pattern, in order of first
+    appearance over the sets taken from the largest down (equal sizes in
+    their given order).  A set's columns are a slice when they form a
+    contiguous run of the union, as for the largest set without repeats or
+    for sets that share no point, else an index array.  One set is its own
+    union, repeats and all: the pCN chain predicts one level at every
+    accepted state, and a repeat only costs a column.
+    """
+    if len(point_sets) == 1:
+        return point_sets[0], [slice(0, len(point_sets[0]))]
+    order = sorted(range(len(point_sets)), key=lambda i: -len(point_sets[i]))
+    stacked = np.concatenate([point_sets[i] for i in order])
+    _, first, inverse = np.unique(
+        stacked.view(np.int64), return_index=True, return_inverse=True
+    )
+    firsts = np.sort(first)
+    cols = np.searchsorted(firsts, first)[inverse]
+    columns = [None] * len(point_sets)
+    stops = np.cumsum([len(point_sets[i]) for i in order])
+    for i, stop in zip(order, stops):
+        own = cols[stop - len(point_sets[i]) : stop]
+        start = own[0] if own.size else 0
+        run = np.array_equal(own, np.arange(start, start + own.size))
+        columns[i] = slice(start, start + own.size) if run else own
+    return stacked[firsts], columns
+
+
+def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
+    """Yield (rows, k(query[rows], points)) for consecutive blocks of
+    ``_block_rows(len(points))`` query points; a lone last row joins the
+    block before."""
+    n, size = len(query), _block_rows(len(points))
     start = 0
     while start < n:
         stop = n if n - start <= size + 1 else start + size
-        yield slice(start, stop), kernel_matrix(post.spec, query[start:stop], post.data.points)
+        yield slice(start, stop), kernel_matrix(spec, query[start:stop], points)
         start = stop
 
 
@@ -216,12 +269,12 @@ def posterior_cov(post: GpPosterior, u, v) -> float:
 def posterior_var(post: GpPosterior, query) -> np.ndarray:
     """Posterior variance at each query point, clamped at zero.
 
-    Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over
-    ``posterior_mean``'s row blocks, so no query-sized cross matrix is held.
+    Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over the
+    prediction's ``_cross_blocks``, so no query-sized cross matrix is held.
     """
     query = _as_points(query)
     raw = kernel_diag(post.spec, query)
-    for rows, cross in _cross_blocks(post, query):
+    for rows, cross in _cross_blocks(post.spec, query, post.data.points):
         half = linalg.solve_triangular(post.factor, cross.T, lower=True, check_finite=False)
         raw[rows] -= np.sum(half**2, axis=0)
     # the most negative value decides: the clamp raises on it, or all clamp to 0

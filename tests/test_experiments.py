@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpconv import deep, gp
 from gpconv.errors import ConfigError
@@ -28,7 +30,13 @@ from gpconv.experiments import (
     run_dgp_convergence,
 )
 from gpconv.functions import make_function
-from gpconv.kernels import GaussianKernel, MaternKernel
+from gpconv.kernels import (
+    ConvolutionKernel,
+    GaussianKernel,
+    MaternKernel,
+    MixtureKernel,
+    WarpKernel,
+)
 
 
 def _small_config(**overrides):
@@ -201,6 +209,91 @@ class TestSerialisation:
         del data["components"][1]["base"]
         with pytest.raises(ConfigError, match=r"kernel\.components\.1\.base"):
             kernel_from_dict(data)
+
+
+_REAL = st.floats(-10.0, 10.0)
+_POSITIVE = st.floats(1e-3, 10.0)
+_FUNCTIONS = st.builds(
+    make_function,
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["poly2", "poly2_sin"]),
+                               "a": _REAL, "b": _REAL, "c": _REAL}),
+        st.fixed_dictionaries({"kind": st.just("indicator"), "lo": _REAL, "hi": _REAL,
+                               "scale": _REAL, "include_lo": st.booleans(),
+                               "include_hi": st.booleans()}),
+        st.fixed_dictionaries({"kind": st.just("sine"), "freq": _REAL, "amp": _REAL}),
+        st.fixed_dictionaries({"kind": st.just("constant"), "value": _REAL}),
+        st.just({"kind": "identity"}),
+    ),
+)
+_MATERN = st.builds(MaternKernel, _POSITIVE, _POSITIVE, _POSITIVE)
+_STATIONARY = st.one_of(_MATERN, st.builds(GaussianKernel, _POSITIVE, _POSITIVE))
+_KERNELS = st.one_of(
+    _STATIONARY,
+    st.builds(WarpKernel, _FUNCTIONS, _STATIONARY),
+    st.builds(MixtureKernel, st.lists(st.tuples(_FUNCTIONS, _STATIONARY), min_size=1,
+                                      max_size=3).map(tuple)),
+    st.builds(ConvolutionKernel, _FUNCTIONS, _STATIONARY),
+)
+_TRUNCATIONS = st.one_of(
+    st.none(),
+    st.builds(deep.Truncation, st.sampled_from(["holder_discrete", "sobolev_discrete"]),
+              st.integers(0, 3), _POSITIVE, st.integers(1, 5000)),
+)
+
+
+@st.composite
+def _hierarchies(draw, width):
+    # a width above 1 needs depth 1 and a mixture_f layer
+    depth = 1 if width > 1 else draw(st.integers(1, 3))
+    constructions = st.just("mixture_f") if width > 1 else st.sampled_from(["warp", "mixture_f"])
+    layers = [
+        deep.LayerSpec(
+            draw(constructions), *draw(st.tuples(*[_POSITIVE] * 4)),
+            truncation=draw(_TRUNCATIONS) if i == depth - 1 else None,
+        )
+        for i in range(depth)
+    ]
+    return deep.DgpSpec(
+        depth, draw(_POSITIVE), tuple(layers), draw(_POSITIVE), draw(_POSITIVE),
+        width=width, rescale_warp=draw(st.booleans()),
+    )
+
+
+_NOISES = st.one_of(
+    st.just(NoiseModel()),
+    st.builds(NoiseModel, st.just("fixed"), _POSITIVE, sample_noise=st.booleans()),
+    st.builds(NoiseModel, st.just("schedule"), c_delta=_POSITIVE, exponent=_REAL,
+              sample_noise=st.booleans()),
+)
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    id=st.text("abcxyz_019", min_size=1, max_size=12),
+    domain=st.tuples(_REAL, _POSITIVE).map(lambda t: (t[0], t[0] + t[1])),
+    truth=_FUNCTIONS,
+    kernel=st.one_of(_KERNELS, _hierarchies(1), _hierarchies(3)),
+    n_schedule=st.lists(st.integers(1, 5000), min_size=1, max_size=8, unique=True).map(
+        lambda ns: tuple(sorted(ns))
+    ),
+    design=st.builds(DesignRule, st.sampled_from(["uniform", "random"]), st.integers(0, 2**40)),
+    noise=_NOISES,
+    jitter=st.floats(0.0, 1e-3),
+    eval_mesh_size=st.integers(4, 20000),
+    norms=st.lists(st.sampled_from(["l2", "h1", "h2", "sup"]), min_size=1, unique=True).map(tuple),
+    rate_tail=st.integers(2, 10),
+)
+
+
+class TestSerialisationProperties:
+    """Random configs over the five kernel variants and the hierarchy."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(config=_CONFIGS)
+    def test_json_round_trip(self, config):
+        text = json.dumps(config_to_dict(config))
+        rebuilt = config_from_dict(json.loads(text))
+        assert rebuilt == config
+        assert json.dumps(config_to_dict(rebuilt)) == text
 
 
 class TestRunConvergence:
