@@ -208,9 +208,20 @@ class ConvergenceRecord:
 # running
 
 
-def _level_rng(seed: int, config_id: str, level: int, extra: int = 0):
+def _level_rng(seed: int, config_id: str, level: int, *stream: int):
+    """One level's random stream, keyed [seed, tag, level, *stream] with a tag
+    hashed from the config id.
+
+    A random design draws from ``stream = (design.seed + 1,)``, a chain's
+    seed from ``(3,)`` and sampled noise from ``(2, 0)``.  numpy's seed
+    sequence joins the key's integers as 32-bit words, least significant
+    first, and a positive integer's words never end in a zero word, so no
+    ``design.seed`` reaches the noise key.  A hierarchy run with a random
+    design at ``design.seed = 2`` still shares its design stream with the
+    chain's.
+    """
     tag = int.from_bytes(hashlib.sha256(config_id.encode()).digest()[:8], "big")
-    return np.random.default_rng([int(seed), tag, int(level), int(extra)])
+    return np.random.default_rng([int(seed), tag, int(level), *map(int, stream)])
 
 
 def _level_data(config: ExperimentConfig, n: int, seed: int, level: int):
@@ -218,13 +229,13 @@ def _level_data(config: ExperimentConfig, n: int, seed: int, level: int):
     if config.design.kind == "uniform":
         design = uniform_design(config.domain, n)
     else:
-        rng = _level_rng(seed, config.id, level, extra=config.design.seed + 1)
+        rng = _level_rng(seed, config.id, level, config.design.seed + 1)
         design = DesignSet(points=rng.uniform(*config.domain, n), domain=config.domain)
     h = fill_distance(design)
     delta_sq = config.noise.level(h)
     values = np.asarray(config.truth(design.points), dtype=float)
     if delta_sq > 0 and config.noise.sample_noise:
-        rng = _level_rng(seed, config.id, level, extra=2)
+        rng = _level_rng(seed, config.id, level, 2, 0)
         values = values + math.sqrt(delta_sq) * rng.standard_normal(len(values))
     return h, TrainingData(design.points, values, noise_var=delta_sq)
 
@@ -336,7 +347,7 @@ def run_dgp_convergence(
         raise ConfigError("hierarchy runs need a noise schedule (delta as a power of h)")
 
     def fit_level(level, data, mesh):
-        rng_seed = _level_rng(seed, config.id, level, extra=3).integers(2**63)
+        rng_seed = _level_rng(seed, config.id, level, 3).integers(2**63)
         chain = deep.DgpChain(config.kernel, data, mesh, step_beta=mcmc.beta, rng_seed=rng_seed)
         mean = deep.dgp_posterior_mean(chain, mcmc.n_burn, mcmc.n_iter)
         flags = []
@@ -350,8 +361,11 @@ def run_dgp_convergence(
 
 
 def mean_posterior_variance(config: ExperimentConfig, n: int, seed: int = 0) -> float:
-    """Average posterior variance over the evaluation mesh at one level."""
-    level = config.n_schedule.index(n) if n in config.n_schedule else 0
+    """Average posterior variance over the evaluation mesh at the schedule
+    level of size n; an n outside ``config.n_schedule`` is a ``ParameterError``."""
+    if n not in config.n_schedule:
+        raise ParameterError(f"n = {n} is not in the schedule {list(config.n_schedule)}")
+    level = config.n_schedule.index(n)
     _, data = _level_data(config, n, seed, level)
     post = fit(config.kernel, data, jitter=config.jitter)
     return float(np.mean(posterior_var(post, config.eval_mesh())))

@@ -11,7 +11,8 @@ half-integer orders nu = p + 1/2 use the exponential-times-polynomial closed
 form; integer orders use the upward recurrence for K_n from K_0 and K_1
 (DLMF 10.29.1); other orders use scipy's ``special.kv``; entries where
 either Bessel route over- or underflows are redone in log space with
-``bessel.log_bessel_k``.  Non-stationary kernels are built from these by
+``bessel.log_bessel_k``, which builds on scipy's ``special.kve`` and the
+same recurrence in the order.  Non-stationary kernels are built from these by
 input warping, coefficient mixtures, or position-dependent length scales
 with a normalising prefactor.
 """
@@ -166,10 +167,11 @@ def _matern_bessel_profile(nu: float, sigma_sq: float, z: np.ndarray) -> np.ndar
     Integer orders go through ``_integer_order_profile``, the recurrence for
     K_n; other orders evaluate K_nu with ``special.kv``.  Entries where that
     over- or underflows (tiny z, z past about 705, or very large orders) are
-    redone in log space with the self-contained ``log_bessel_k``, so the
-    whole (nu, z) range is covered.  A z below the normal range gives
-    sigma_sq, as z = 0 does: ``log_bessel_k`` cannot evaluate there, and the
-    profile is 1 to double precision for every order above 0.03.
+    redone in log space with ``log_bessel_k`` (``special.kve`` and the ratio
+    recurrence in the order, or its small-argument forms), so the whole
+    (nu, z) range is covered.  A z below the normal range gives sigma_sq, as
+    z = 0 does: the profile is 1 to double precision there for every order
+    above 0.03.
     """
     out = np.full(z.shape, sigma_sq, dtype=float)
     pos = z >= _TINY
@@ -224,8 +226,8 @@ def matern_eval(nu: float, lam: float, sigma_sq: float, r: float) -> float:
     The r = 0 value is sigma_sq exactly (the Bessel form has a removable
     singularity there).  Half-integer orders use the closed form, integer
     orders the K_0/K_1 recurrence (DLMF 10.29.1), and other orders
-    ``special.kv``; both Bessel routes fall back to ``log_bessel_k`` in log
-    space where they over- or underflow.
+    ``special.kv``; both Bessel routes fall back to ``log_bessel_k``, which
+    works in log space from ``special.kve``, where they over- or underflow.
     """
     spec = GaussianKernel(lam, sigma_sq) if nu == math.inf else MaternKernel(nu, lam, sigma_sq)
     if r < 0:

@@ -1,8 +1,11 @@
-"""Checks for the self-contained log-domain Bessel K routine.
+"""Checks for the log-domain Bessel K routine.
 
 scipy.special is the reference where it can evaluate without overflow; the
-exponentially scaled variant covers the large-order regime.
+exponentially scaled variant covers the large-order regime, and mpmath the
+arguments and orders where scipy cannot.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +99,65 @@ class TestRandomOrders:
         with mpmath.workdps(40):
             ref = float(mpmath.log(mpmath.besselk(nu, x)))
         np.testing.assert_allclose(log_bessel_k(nu, x), ref, rtol=1e-13, atol=0)
+
+
+def _mpmath_log_k(nu: float, x: float) -> float:
+    """log K_nu(x) from mpmath, once an evaluation at twice the precision agrees.
+
+    mpmath forms K from I_{-nu} - I_nu, which cancels at large orders and
+    arguments: its 60-digit K at nu = 368.97, x = 273.23 is negative.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    dps = 40
+    while True:
+        with mpmath.workdps(dps):
+            low = mpmath.besselk(nu, x)
+        with mpmath.workdps(2 * dps):
+            high = mpmath.besselk(nu, x)
+            if high > 0 and abs(low - high) <= 1e-20 * high:
+                return float(mpmath.log(high))
+        dps *= 2
+
+
+class TestSmallOrders:
+    """Small orders at small arguments: below the reach of the leading term,
+    and below the argument range of scipy's kve."""
+
+    @pytest.mark.parametrize(
+        "nu, x",
+        [
+            (0.05, 1e-50),
+            (0.3, 2.2e-29),
+            (0.3, 2.3e-29),
+            (0.026, 5e-324),
+            (0.02, 1e-300),
+            (0.001, 5e-324),
+            (1e-6, 5e-324),
+            (1e-10, 5e-324),
+        ],
+    )
+    def test_matches_mpmath(self, nu, x):
+        np.testing.assert_allclose(log_bessel_k(nu, x), _mpmath_log_k(nu, x), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("x", [1.0, 1e-300])
+    def test_subnormal_order(self, x):
+        # kve gives NaN at a subnormal order; K_nu is even in nu, so K_0 serves
+        nu = 5e-324
+        np.testing.assert_allclose(log_bessel_k(nu, x), _mpmath_log_k(nu, x), rtol=1e-13, atol=0)
+
+
+_WIDE_ORDERS = st.floats(math.log2(1e-3), math.log2(400.0)).map(lambda e: 2.0**e)
+_WIDE_ARGUMENTS = st.floats(-1074.0, math.log2(2e3)).map(lambda e: 2.0**e)
+
+
+class TestWideRange:
+    """Orders log-uniform in [1e-3, 400] and arguments log-uniform from the
+    smallest subnormal to 2e3, over every route."""
+
+    @settings(_PROPERTY, max_examples=200)
+    @given(nu=_WIDE_ORDERS, x=_WIDE_ARGUMENTS)
+    def test_matches_mpmath(self, nu, x):
+        np.testing.assert_allclose(log_bessel_k(nu, x), _mpmath_log_k(nu, x), rtol=1e-13, atol=0)
 
 
 class TestInterface:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpconv import deep, gp
-from gpconv.errors import ConfigError
+from gpconv import deep, experiments, gp
+from gpconv.errors import ConfigError, ParameterError
 from gpconv.experiments import (
     FIGURE_BANDS,
     DesignRule,
@@ -23,6 +23,7 @@ from gpconv.experiments import (
     config_to_dict,
     kernel_from_dict,
     kernel_to_dict,
+    mean_posterior_variance,
     records_csv,
     rates_csv,
     reference_tdgp_config,
@@ -335,6 +336,26 @@ class TestRunConvergence:
         assert a[-1].errors["l2"] == b[-1].errors["l2"]
         clean, _ = run_convergence(_small_config(), seed=3)
         assert a[-1].errors["l2"] > clean[-1].errors["l2"]
+
+    def test_noise_stream_differs_from_design_stream(self):
+        # design.seed = 1 gives the design key 2; the noise must not draw
+        # from the design's bit stream
+        config = _small_config(design=DesignRule("random", seed=1),
+                               noise=NoiseModel("fixed", delta_sq=1e-2))
+        seed, level, n = 7, 3, 32
+        _, data = experiments._level_data(config, n, seed, level)
+        design_key = config.design.seed + 1
+        design_rng = experiments._level_rng(seed, config.id, level, design_key)
+        np.testing.assert_array_equal(np.sort(design_rng.uniform(*config.domain, n)), data.points)
+        noise = (data.values - config.truth(data.points)) / 0.1
+        design_normals = experiments._level_rng(seed, config.id, level, design_key)
+        assert not np.allclose(noise, design_normals.standard_normal(n))
+
+    def test_posterior_variance_needs_a_schedule_size(self):
+        config = _small_config()
+        assert mean_posterior_variance(config, 8) > 0.0
+        with pytest.raises(ParameterError, match="schedule"):
+            mean_posterior_variance(config, 12)
 
     def test_dgp_config_rejected(self):
         config, _ = reference_tdgp_config()
