@@ -9,6 +9,12 @@ k, the posterior is the Gaussian process with
 where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
+Every Gram matrix this module factors lives in one C-ordered N x N buffer
+from assembly to factor: ``_gram`` fills it in the row blocks that
+prediction uses (``_cross_blocks``), and ``_ridged_cholesky`` factors it in
+place, so a fit holds one N x N array and no kernel intermediate larger
+than a block.  ``kernels.gram`` stays the one-shot definition it equals
+bit for bit.
 ``posterior_means`` predicts several fitted levels in one pass over the
 query points, evaluating each block of the cross matrix once against the
 union of the levels' designs; ``posterior_mean`` is its one-level case, so
@@ -33,7 +39,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import ParameterError, SamplingError, SingularGramError
-from .kernels import KernelSpec, _as_points, gram, kernel_diag, kernel_matrix
+from .kernels import KernelSpec, _as_points, kernel_diag, kernel_matrix
 
 DEFAULT_JITTER = 1e-15
 JITTER_ESCALATION = 1000.0
@@ -79,8 +85,10 @@ class GpPosterior:
     """Fitted regression state: kernel, data and the factored Gram matrix.
 
     ``factor`` is the lower-triangular Cholesky factor of K + s I with
-    s = noise_var + jitter, ``weights`` the solved representer coefficients
-    and ``neg_log_like`` 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
+    s = noise_var + jitter: F-ordered, with a zero upper triangle, and
+    stored in the memory of the Gram buffer it was factored from.
+    ``weights`` are the solved representer coefficients and
+    ``neg_log_like`` is 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
     ``jitter`` is the value actually used; ``escalated`` records whether the
     initial factorisation failed and the jitter was multiplied by 1000 for a
     second attempt.
@@ -95,10 +103,37 @@ class GpPosterior:
     escalated: bool = False
 
 
+def _gram(spec: KernelSpec, points) -> np.ndarray:
+    """Gram matrix on the points in one C-ordered buffer, filled block by
+    block along ``_cross_blocks(spec, points, points)``; a single block is
+    the buffer itself.
+
+    An entry depends only on its own pair of points, so the buffer equals
+    ``kernel_matrix(spec, points)`` bit for bit and is exactly symmetric.
+    """
+    points = _as_points(points)
+    n = len(points)
+    buffer = None
+    for rows, block in _cross_blocks(spec, points, points):
+        if len(block) == n:
+            return block
+        if buffer is None:
+            buffer = np.empty((n, n))
+        buffer[rows] = block
+    return buffer
+
+
 def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
-    """Lower Cholesky factor of ``matrix + ridge I``, ridging ``matrix`` in place."""
+    """Lower Cholesky factor of ``matrix + ridge I``, factored in place.
+
+    ``matrix`` is an exactly symmetric C-ordered buffer from ``_gram``, so
+    its transpose is an F-ordered view of the same values, which LAPACK
+    factors without a copy; the factor is bit-identical to that of the
+    C-ordered matrix.  Afterwards the buffer holds the factor, or, when the
+    factorisation fails, a partly factored matrix.
+    """
     matrix.flat[:: len(matrix) + 1] += ridge
-    return linalg.cholesky(matrix, lower=True, check_finite=False)
+    return linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
 
 
 def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) -> GpPosterior:
@@ -117,17 +152,18 @@ def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) ->
 def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...]) -> GpPosterior:
     """The one conditioning path: ridge the Gram matrix by noise_var + jitter
     for each jitter in turn, then factor, solve and score at the first that
-    factors.  The Gram matrix is copied only while a retry can follow; if no
-    jitter factors, SingularGramError names the last one."""
-    gram_matrix = gram(spec, data.points)
+    factors.  The factorisation overwrites the Gram matrix, so an escalation
+    rebuilds it; if no jitter factors, SingularGramError names the last one
+    and the smallest eigenvalue of the rebuilt, ridged matrix."""
     for attempt, jitter in enumerate(jitters):
-        regularised = gram_matrix.copy() if attempt + 1 < len(jitters) else gram_matrix
         try:
-            factor = _ridged_cholesky(regularised, data.noise_var + jitter)
+            factor = _ridged_cholesky(_gram(spec, data.points), data.noise_var + jitter)
             break
         except np.linalg.LinAlgError:
             pass
     else:
+        regularised = _gram(spec, data.points)
+        regularised.flat[:: data.n + 1] += data.noise_var + jitter
         smallest = float(np.linalg.eigvalsh(regularised)[0])
         raise SingularGramError(
             f"Gram matrix is numerically singular: Cholesky met a "
@@ -232,9 +268,9 @@ def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
 
 
 def _block_rows(n_points: int) -> int:
-    """Query rows per prediction block against N = n_points design
-    points: ``PREDICT_BLOCK_ENTRIES`` // N rounded down to a multiple of 4,
-    and at least 4.
+    """Query rows per block against N = n_points design points, for
+    prediction and for Gram assembly alike: ``PREDICT_BLOCK_ENTRIES`` // N
+    rounded down to a multiple of 4, and at least 4.
 
     A block of 2**16 entries is 512 KB, so the few block-sized temporaries
     of one kernel evaluation fit together in a 2 MB L2 cache.  Measured on
@@ -244,7 +280,11 @@ def _block_rows(n_points: int) -> int:
     blocks and 0.11 s in the 16-row blocks this rule gives.  For that kernel
     and the mixture and convolution figure kernels at N = 256 and 1024,
     budgets of 2**15 and 2**16 entries were the fastest of 2**14 .. 2**18,
-    or within noise of it.
+    or within noise of it.  The same rule sizes the row blocks of Gram
+    assembly (``_gram``): that kernel's Gram matrix on 4096 random points
+    took 0.36 s in one shot and 0.19 s in these 16-row blocks (first call
+    in a fresh process, medians of 9, same VM); the one-shot build also
+    page-faults a fresh N x N array for every kernel intermediate.
     """
     return max(4, PREDICT_BLOCK_ENTRIES // n_points // 4 * 4)
 
@@ -294,7 +334,7 @@ def _clamp_variance(value: float) -> float:
 def _path_gram(spec: KernelSpec, mesh: np.ndarray) -> tuple[np.ndarray, float]:
     """Gram matrix on the mesh and its path jitter, PATH_JITTER_SCALE times
     its largest diagonal entry."""
-    gram_matrix = gram(spec, mesh)
+    gram_matrix = _gram(spec, mesh)
     return gram_matrix, PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
 
 
@@ -325,8 +365,9 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     """
     gram_matrix, path_jitter = _path_gram(spec, mesh)
     try:
+        # the transpose is the symmetric buffer's F-ordered view: no copy
         values, vectors = linalg.eigh(
-            gram_matrix,
+            gram_matrix.T,
             subset_by_value=(path_jitter, np.inf),
             driver="evr",
             overwrite_a=True,
