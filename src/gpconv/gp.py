@@ -11,10 +11,14 @@ where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 Every Gram matrix this module factors lives in one C-ordered N x N buffer
 from assembly to factor: ``_gram`` fills it in the row blocks that
-prediction uses (``_cross_blocks``), and ``_ridged_cholesky`` factors it in
+prediction uses (``_row_blocks``), and ``_ridged_cholesky`` factors it in
 place, so a fit holds one N x N array and no kernel intermediate larger
-than a block.  ``kernels.gram`` stays the one-shot definition it equals
-bit for bit.
+than a block.  Below ``UPPER_CHOLESKY_MIN_N`` points the buffer holds the
+whole Gram matrix and LAPACK's lower variant factors it; from there on
+``_gram`` assembles only the C-order lower triangle, half the kernel
+entries, which LAPACK's upper variant reads through the buffer's
+transpose.  ``kernels.gram`` stays the one-shot definition the assembled
+entries equal bit for bit.
 ``posterior_means`` predicts several fitted levels in one pass over the
 query points, evaluating each block of the cross matrix once against the
 union of the levels' designs; ``posterior_mean`` is its one-level case, so
@@ -47,6 +51,9 @@ VARIANCE_CLAMP = 1e-8
 PATH_JITTER_SCALE = 1e-12
 # Cross-matrix entries per prediction block (512 KB of float64)
 PREDICT_BLOCK_ENTRIES = 2**16
+# Gram matrices of this many points and more are assembled in one triangle
+# and factored by LAPACK's upper variant (``_ridged_cholesky``)
+UPPER_CHOLESKY_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,13 @@ class TrainingData:
 class GpPosterior:
     """Fitted regression state: kernel, data and the factored Gram matrix.
 
-    ``factor`` is the lower-triangular Cholesky factor of K + s I with
-    s = noise_var + jitter: F-ordered, with a zero upper triangle, and
-    stored in the memory of the Gram buffer it was factored from.
+    ``factor`` is the lower-triangular Cholesky factor L of K + s I with
+    s = noise_var + jitter, with a zero strict upper triangle and stored in
+    the memory of the Gram buffer it was factored from.  Below
+    ``UPPER_CHOLESKY_MIN_N`` points it is F-ordered, LAPACK's lower factor;
+    from there on it is C-ordered, the transpose of LAPACK's upper factor
+    U = L^T.  Either way ``solve_triangular(factor, ..., lower=True)`` takes
+    it without a copy.
     ``weights`` are the solved representer coefficients and
     ``neg_log_like`` is 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
     ``jitter`` is the value actually used; ``escalated`` records whether the
@@ -103,37 +114,67 @@ class GpPosterior:
     escalated: bool = False
 
 
-def _gram(spec: KernelSpec, points) -> np.ndarray:
-    """Gram matrix on the points in one C-ordered buffer, filled block by
-    block along ``_cross_blocks(spec, points, points)``; a single block is
-    the buffer itself.
+def _gram(spec: KernelSpec, points, for_cholesky: bool = False) -> np.ndarray:
+    """Gram matrix on the points in one C-ordered buffer, filled in the
+    row blocks ``_row_blocks(N, N)``; a single block is the buffer itself.
 
-    An entry depends only on its own pair of points, so the buffer equals
-    ``kernel_matrix(spec, points)`` bit for bit and is exactly symmetric.
+    An entry depends only on its own pair of points, so every entry filled
+    equals that of ``kernel_matrix(spec, points)`` bit for bit.  The whole
+    buffer is filled, and exactly symmetric, unless ``for_cholesky`` asks
+    for what ``_ridged_cholesky`` reads: from ``UPPER_CHOLESKY_MIN_N``
+    points on, each row block is evaluated only against the columns up to
+    its last row, so the C-order lower triangle holds the Gram matrix and
+    the strict upper triangle is left unset outside the blocks' diagonal
+    squares.
     """
     points = _as_points(points)
     n = len(points)
+    lower = for_cholesky and n >= UPPER_CHOLESKY_MIN_N
     buffer = None
-    for rows, block in _cross_blocks(spec, points, points):
+    for rows in _row_blocks(n, n):
+        cols = slice(0, rows.stop if lower else n)
+        block = kernel_matrix(spec, points[rows], points[cols])
         if len(block) == n:
             return block
         if buffer is None:
             buffer = np.empty((n, n))
-        buffer[rows] = block
+        buffer[rows, cols] = block
     return buffer
 
 
 def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
-    """Lower Cholesky factor of ``matrix + ridge I``, factored in place.
+    """Lower Cholesky factor L of ``matrix + ridge I``, factored in place.
 
-    ``matrix`` is an exactly symmetric C-ordered buffer from ``_gram``, so
-    its transpose is an F-ordered view of the same values, which LAPACK
-    factors without a copy; the factor is bit-identical to that of the
-    C-ordered matrix.  Afterwards the buffer holds the factor, or, when the
-    factorisation fails, a partly factored matrix.
+    ``matrix`` is a C-ordered buffer from ``_gram(..., for_cholesky=True)``,
+    so its transpose is an F-ordered view of the same memory, which LAPACK
+    factors without a copy.  Below ``UPPER_CHOLESKY_MIN_N`` points the
+    buffer is exactly symmetric and the lower variant factors it: L is
+    F-ordered and bit-identical to the factor of the C-ordered matrix.  From
+    there on the upper variant reads the transpose's upper triangle, which
+    is the buffer's assembled C-order lower triangle, and L is the
+    C-ordered transpose of its factor U.  Afterwards the buffer holds the
+    factor, or, when the factorisation fails, a partly factored matrix.
+
+    The switch is by size because neither variant is faster at every N.
+    In-place factorisations of a random SPD matrix on one BLAS thread,
+    OpenBLAS 0.3.30 (scipy 1.17.1's bundled build, SkylakeX kernels) on a
+    2-core Xeon VM, medians of 15 alternating runs (7 at N = 4096), ms:
+
+        N        128    256    384    512    768   1024   2048   4096
+        lower   0.115  0.579  1.54   3.53   9.81   22.8    132    888
+        upper   0.130  0.664  1.67   3.49   9.38   20.0    112    694
+
+    On two threads the upper variant also wins from 512 points on (1024:
+    17.7 -> 13.7 ms, 4096: 586 -> 391 ms).  The switch sits at the
+    one-thread crossover, the thread count of the ``figures`` and ``dgp``
+    commands, so the TDGP chain's factors (N <= 256) keep the lower
+    variant and their last bits.
     """
-    matrix.flat[:: len(matrix) + 1] += ridge
-    return linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+    n = len(matrix)
+    matrix.flat[:: n + 1] += ridge
+    if n < UPPER_CHOLESKY_MIN_N:
+        return linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+    return linalg.cholesky(matrix.T, lower=False, overwrite_a=True, check_finite=False).T
 
 
 def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) -> GpPosterior:
@@ -157,14 +198,16 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
     and the smallest eigenvalue of the rebuilt, ridged matrix."""
     for attempt, jitter in enumerate(jitters):
         try:
-            factor = _ridged_cholesky(_gram(spec, data.points), data.noise_var + jitter)
+            gram_matrix = _gram(spec, data.points, for_cholesky=True)
+            factor = _ridged_cholesky(gram_matrix, data.noise_var + jitter)
             break
         except np.linalg.LinAlgError:
             pass
     else:
-        regularised = _gram(spec, data.points)
+        regularised = _gram(spec, data.points, for_cholesky=True)
         regularised.flat[:: data.n + 1] += data.noise_var + jitter
-        smallest = float(np.linalg.eigvalsh(regularised)[0])
+        # the lower triangle is the one assembled at every N
+        smallest = float(np.linalg.eigvalsh(regularised, UPLO="L")[0])
         raise SingularGramError(
             f"Gram matrix is numerically singular: Cholesky met a "
             f"non-positive pivot at jitter {jitter:.3e} (N={data.n}, "
@@ -172,7 +215,11 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
             "too little regularisation"
         )
 
-    weights = linalg.cho_solve((factor, True), data.values, check_finite=False)
+    # LAPACK gets the F-ordered one of L and U = L^T, so nothing is copied
+    lower = bool(factor.flags.f_contiguous)
+    weights = linalg.cho_solve(
+        (factor if lower else factor.T, lower), data.values, check_finite=False
+    )
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
     return GpPosterior(
         spec=spec,
@@ -256,14 +303,20 @@ def _union_columns(point_sets: list[np.ndarray]) -> tuple[np.ndarray, list]:
 
 
 def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
-    """Yield (rows, k(query[rows], points)) for consecutive blocks of
-    ``_block_rows(len(points))`` query points; a lone last row joins the
-    block before."""
-    n, size = len(query), _block_rows(len(points))
+    """Yield (rows, k(query[rows], points)) for the query's
+    ``_row_blocks`` against the points."""
+    for rows in _row_blocks(len(query), len(points)):
+        yield rows, kernel_matrix(spec, query[rows], points)
+
+
+def _row_blocks(n_rows: int, n_points: int):
+    """Yield slices of ``_block_rows(n_points)`` consecutive rows out of
+    n_rows; a lone last row joins the block before."""
+    size = _block_rows(n_points)
     start = 0
-    while start < n:
-        stop = n if n - start <= size + 1 else start + size
-        yield slice(start, stop), kernel_matrix(spec, query[start:stop], points)
+    while start < n_rows:
+        stop = n_rows if n_rows - start <= size + 1 else start + size
+        yield slice(start, stop)
         start = stop
 
 
@@ -284,7 +337,9 @@ def _block_rows(n_points: int) -> int:
     assembly (``_gram``): that kernel's Gram matrix on 4096 random points
     took 0.36 s in one shot and 0.19 s in these 16-row blocks (first call
     in a fresh process, medians of 9, same VM); the one-shot build also
-    page-faults a fresh N x N array for every kernel intermediate.
+    page-faults a fresh N x N array for every kernel intermediate.  From
+    ``UPPER_CHOLESKY_MIN_N`` points on, Gram assembly keeps the row count
+    but stops each block at its last row's column, the lower triangle.
     """
     return max(4, PREDICT_BLOCK_ENTRIES // n_points // 4 * 4)
 
@@ -331,16 +386,18 @@ def _clamp_variance(value: float) -> float:
     return max(value, 0.0)
 
 
-def _path_gram(spec: KernelSpec, mesh: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gram matrix on the mesh and its path jitter, PATH_JITTER_SCALE times
-    its largest diagonal entry."""
-    gram_matrix = _gram(spec, mesh)
+def _path_gram(
+    spec: KernelSpec, mesh: np.ndarray, for_cholesky: bool = False
+) -> tuple[np.ndarray, float]:
+    """Gram matrix on the mesh, as ``_gram`` builds it, and its path jitter,
+    PATH_JITTER_SCALE times its largest diagonal entry."""
+    gram_matrix = _gram(spec, mesh, for_cholesky)
     return gram_matrix, PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
 
 
 def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     """Cholesky factor of the Gram matrix on the mesh plus the path jitter."""
-    gram_matrix, path_jitter = _path_gram(spec, mesh)
+    gram_matrix, path_jitter = _path_gram(spec, mesh, for_cholesky=True)
     try:
         return _ridged_cholesky(gram_matrix, path_jitter)
     except np.linalg.LinAlgError as exc:
