@@ -198,8 +198,10 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
     and the smallest eigenvalue of the rebuilt, ridged matrix."""
     for attempt, jitter in enumerate(jitters):
         try:
-            gram_matrix = _gram(spec, data.points, for_cholesky=True)
-            factor = _ridged_cholesky(gram_matrix, data.noise_var + jitter)
+            # no name holds the buffer, so a failed one is freed before the rebuild
+            factor = _ridged_cholesky(
+                _gram(spec, data.points, for_cholesky=True), data.noise_var + jitter
+            )
             break
         except np.linalg.LinAlgError:
             pass

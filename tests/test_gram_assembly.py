@@ -131,3 +131,30 @@ def test_fit_holds_about_one_gram_sized_array():
     assert not post.escalated
     assert post.factor.flags.c_contiguous
     assert peak < 1.5 * 8 * n * n
+
+
+def test_an_escalation_frees_the_failed_buffer(monkeypatch):
+    """The failed first factorisation's buffer is freed before the
+    escalated attempt rebuilds the Gram matrix."""
+    config = config_from_dict(json.loads((CONFIGS / "warp_example.json").read_text()))
+    n = 1024
+    pts = np.linspace(*config.domain, n)
+    data = TrainingData(pts, np.sin(2.0 * pts), noise_var=1e-6)
+    real_cholesky = gp.linalg.cholesky
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("forced")
+        return real_cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(gp.linalg, "cholesky", fail_first)
+    tracemalloc.start()
+    try:
+        post = fit(config.kernel, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert post.escalated
+    assert peak < 1.5 * 8 * n * n
