@@ -51,9 +51,12 @@ def _points(n):
     return np.sort(np.random.default_rng(n).uniform(0.0, 5.0, n))
 
 
-def test_sizes_cover_a_short_last_block_a_lone_last_row_and_both_variants():
+def test_sizes_cover_a_short_last_block_and_a_lone_last_row():
     assert gp._block_rows(300) == 216
     assert gp._block_rows(1081) == 60 and 1081 % 60 == 1
+
+
+def test_sizes_straddle_the_variant_switch():
     assert 300 < gp.UPPER_CHOLESKY_MIN_N <= 1081
 
 
