@@ -19,7 +19,12 @@ from .errors import MeshError, ParameterError
 
 ERROR_FLOOR = 1e-16
 
-NORM_KINDS = ("l2", "h1", "h2", "sup")
+# Each error norm is a discrete norm of the difference: (kind, order).
+ERROR_NORMS = {
+    "l2": ("sobolev_discrete", 0), "h1": ("sobolev_discrete", 1),
+    "h2": ("sobolev_discrete", 2), "sup": ("holder_discrete", 0),
+}
+NORM_KINDS = tuple(ERROR_NORMS)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,12 @@ def uniform_design(domain: tuple[float, float], n: int) -> DesignSet:
     return DesignSet(points=a + np.arange(1, n + 1) * (b - a) / n, domain=(float(a), float(b)))
 
 
-def _mesh_spacing(mesh: np.ndarray) -> float:
+def _mesh_spacing(mesh: np.ndarray, min_points: int = 2) -> float:
+    """Spacing of a 1-D, uniform, increasing mesh of at least ``min_points``
+    points; anything else is a ``MeshError``."""
     mesh = np.asarray(mesh, dtype=float)
-    if mesh.ndim != 1 or mesh.size < 2:
-        raise MeshError("mesh must be a 1-D array with at least two points")
+    if mesh.ndim != 1 or mesh.size < min_points:
+        raise MeshError(f"mesh must be 1-D with at least {min_points} points, got {mesh.size}")
     gaps = np.diff(mesh)
     h = float(gaps[0])
     if h <= 0 or not np.allclose(gaps, h, rtol=1e-8, atol=0.0):
@@ -126,9 +133,7 @@ def discrete_norm(values, mesh, kind: str, order: int) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != mesh.shape:
         raise MeshError("values and mesh must have matching shapes")
-    if mesh.size < order + 2:
-        raise MeshError(f"mesh must hold at least order + 2 = {order + 2} points")
-    return _spaced_norm(values, _mesh_spacing(mesh), kind, order)
+    return _spaced_norm(values, _mesh_spacing(mesh, order + 2), kind, order)
 
 
 def _spaced_norm(values: np.ndarray, h: float, kind: str, order: int) -> float:
@@ -147,23 +152,18 @@ def error_norm(truth, approx, mesh, kind: str) -> float:
     """Norm of (truth - approx) sampled on a uniform mesh.
 
     ``truth`` may be a callable (evaluated on the mesh) or an array of mesh
-    values.  Supported kinds: "l2", "h1", "h2" and "sup".
+    values.  Each kind in ``ERROR_NORMS`` is a ``discrete_norm`` of the
+    difference: "l2", "h1" and "h2" are Sobolev norms of order 0, 1 and 2,
+    "sup" the Hoelder norm of order 0.
     """
+    if kind not in ERROR_NORMS:
+        raise ParameterError(f"unknown error norm kind {kind!r}")
     mesh = np.asarray(mesh, dtype=float)
     approx = np.asarray(approx, dtype=float)
     truth_vals = np.asarray(truth(mesh) if callable(truth) else truth, dtype=float)
     if truth_vals.shape != mesh.shape or approx.shape != mesh.shape:
         raise MeshError("truth and approximation must match the mesh")
-    diff = truth_vals - approx
-    if kind == "sup":
-        _mesh_spacing(mesh)
-        return float(np.max(np.abs(diff)))
-    if kind == "l2":
-        h = _mesh_spacing(mesh)
-        return math.sqrt(float(np.trapezoid(diff * diff, dx=h)))
-    if kind in ("h1", "h2"):
-        return discrete_norm(diff, mesh, "sobolev_discrete", order=int(kind[1]))
-    raise ParameterError(f"unknown error norm kind {kind!r}")
+    return discrete_norm(truth_vals - approx, mesh, *ERROR_NORMS[kind])
 
 
 def fit_rate(h_values, errors, tail: int) -> RateFit:

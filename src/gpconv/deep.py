@@ -11,8 +11,10 @@ The layer feeding the final kernel may be truncated to a discrete Hoelder
 or Sobolev norm ball.  There is one prior law: the hidden layers f^0 ..
 f^{D-1} are the image of standard normal coefficients under one forward
 map, and a truncation conditions them jointly on the ball, so a state
-whose constrained layer leaves it is rejected whole.  The prior sampler
-and the chain share that map.  Posterior inference over the hidden layers
+whose constrained layer leaves it is rejected whole.  That map,
+``_forward``, is the one place where a state is admitted to the ball and
+its final kernel is built: the prior sampler, the chain's start and every
+chain step call it.  Posterior inference over the hidden layers
 marginalises the final layer analytically (the data are conditionally
 Gaussian given the hidden layers) and runs a preconditioned Crank-Nicolson
 walk on the whitened layer coefficients (for layer 0, its Karhunen-Loeve
@@ -34,7 +36,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     GpconvError,
-    MeshError,
     ParameterError,
     TruncationError,
 )
@@ -192,20 +193,13 @@ def layer_kernel(
 
 def _check_mesh(mesh, spec: DgpSpec) -> tuple[np.ndarray, float | None]:
     """A sorted 1-D mesh and, if truncated, its spacing: the discrete norms
-    need a uniform mesh of at least order + 2 points, as ``discrete_norm``
-    checks.  The spacing is None for an untruncated hierarchy."""
+    need a uniform mesh of at least order + 2 points (``_mesh_spacing``).
+    The spacing is None for an untruncated hierarchy."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
     trunc = spec.layers[-1].truncation
-    if trunc is None:
-        return mesh, None
-    if mesh.size < trunc.order + 2:
-        raise MeshError(
-            f"a truncation of order {trunc.order} needs a mesh of at least "
-            f"{trunc.order + 2} points, got {mesh.size}"
-        )
-    return mesh, _mesh_spacing(mesh)
+    return mesh, None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)
 
 
 def _prior_whitened(spec: DgpSpec, m: int, rank0: int, rng) -> list[np.ndarray]:
@@ -216,18 +210,26 @@ def _prior_whitened(spec: DgpSpec, m: int, rank0: int, rng) -> list[np.ndarray]:
     return [first] + [rng.standard_normal(m) for _ in range(spec.depth - 1)]
 
 
-def _hidden_layers(
-    spec: DgpSpec, mesh: np.ndarray, factor0: np.ndarray, whitened: list[np.ndarray]
-) -> list[np.ndarray]:
+def _forward(
+    spec: DgpSpec, mesh: np.ndarray, spacing: float | None, factor0: np.ndarray, whitened: list
+) -> tuple[list[np.ndarray], KernelSpec] | None:
     """The hierarchy's forward map: hidden layers f0 .. f^{D-1} on the mesh
-    from their whitened coefficients.  ``factor0`` is the rank-r spectral
-    factor of the f0 Gram matrix (``_path_spectral``); each deeper layer
-    is drawn from the Cholesky factor of its own kernel's Gram matrix."""
+    from their whitened coefficients, and the final kernel built from the
+    last of them; None when the truncation ball rejects that layer.
+
+    ``factor0`` is the rank-r spectral factor of the f0 Gram matrix
+    (``_path_spectral``); each deeper layer is drawn from the Cholesky
+    factor of its own kernel's Gram matrix.  ``spacing`` is the mesh
+    spacing from ``_check_mesh``, None for an untruncated hierarchy.
+    """
     hidden = [whitened[0] @ factor0.T]
     for layer, xi in zip(spec.layers, whitened[1:]):
         kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp)
         hidden.append(xi @ _path_cholesky(kernel, mesh).T)
-    return hidden
+    trunc = spec.layers[-1].truncation
+    if trunc is not None and not trunc.admits(hidden[-1], spacing):
+        return None
+    return hidden, layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp)
 
 
 def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
@@ -236,9 +238,9 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     Returns [f0, f1, ..., fD]; for width L > 1 the first entry is an
     (L, m) array of the independent initial layers.  With a truncation the
     hidden layers are conditioned jointly on the ball: the whole hidden
-    state is redrawn until its constrained layer lands in the ball, up to
-    max_rejections, and only then is the final layer drawn.  A truncated
-    hierarchy needs a uniform mesh.
+    state is redrawn through ``_forward`` until its constrained layer lands
+    in the ball, up to max_rejections, and only then is the final layer
+    drawn.  A truncated hierarchy needs a uniform mesh.
     """
     mesh, spacing = _check_mesh(mesh, spec)
     rng = np.random.default_rng(seed)
@@ -247,15 +249,15 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     attempts = trunc.max_rejections if trunc is not None else 1
     for _ in range(attempts):
         whitened = _prior_whitened(spec, len(mesh), factor0.shape[1], rng)
-        hidden = _hidden_layers(spec, mesh, factor0, whitened)
-        if trunc is None or trunc.admits(hidden[-1], spacing):
+        state = _forward(spec, mesh, spacing, factor0, whitened)
+        if state is not None:
             break
     else:
         raise TruncationError(
             f"no prior draw satisfied the norm ball after {attempts} attempts "
             f"(empirical acceptance rate 0/{attempts}); enlarge the radius"
         )
-    final_kernel = layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp)
+    hidden, final_kernel = state
     final = rng.standard_normal(len(mesh)) @ _path_cholesky(final_kernel, mesh).T
     return hidden + [final]
 
@@ -272,14 +274,15 @@ class DgpChain:
     with K_D the final-layer Gram matrix at the training points.  Each state
     holds its final layer as a ``GpPosterior`` (``gp._condition``, ridged by
     the noise alone), whose ``neg_log_like`` is Phi.  The prior
-    is sample_dgp_prior's: with a truncation the hidden layers are
-    conditioned jointly on the ball, so proposals whose constrained layer
-    leaves it count as rejections, as do proposals whose kernel assembly
-    fails.  The start state is the first prior draw that passes both; for
-    ``rng_seed`` equal to the sampler's seed it holds the sampler's hidden
-    layers whenever that draw assembles.  A truncated hierarchy needs a
-    uniform mesh.  The chain itself never changes ``step_beta``;
-    dgp_posterior_mean tunes it during burn-in.
+    is sample_dgp_prior's, through the same forward map ``_forward``: with
+    a truncation the hidden layers are conditioned jointly on the ball, so
+    proposals whose constrained layer leaves it count as rejections
+    (``n_trunc_rejections``), as do proposals whose kernel assembly fails
+    (``n_assembly_failures``).  The start state is the first prior draw
+    that passes both; for ``rng_seed`` equal to the sampler's seed it holds
+    the sampler's hidden layers whenever that draw assembles.  A truncated
+    hierarchy needs a uniform mesh.  The chain itself never changes
+    ``step_beta``; dgp_posterior_mean tunes it during burn-in.
 
     Layer 0's kernel is fixed for the whole chain, so its whitened state is
     the r-vector (or (width, r) array) of coefficients of its truncated
@@ -322,10 +325,8 @@ class DgpChain:
         self.data = data
         self.mesh, self._spacing = _check_mesh(mesh, spec)
         self.step_beta = float(step_beta)
-        self.rng_seed = int(rng_seed)
         self.rng = np.random.default_rng(rng_seed)
         self.trace: list[dict] = []
-        self.warnings: list[str] = []
         self.iteration = 0
         self.n_trunc_rejections = 0
         self.n_assembly_failures = 0
@@ -335,7 +336,6 @@ class DgpChain:
         # Rejection-sample an admissible starting state from the prior.
         trunc = spec.layers[-1].truncation
         budget = trunc.max_rejections if trunc is not None else 50
-        state = None
         for _ in range(budget):
             self.whitened_state = _prior_whitened(
                 spec, len(self.mesh), self._factor0.shape[1], self.rng
@@ -343,10 +343,8 @@ class DgpChain:
             state = self._assemble(self.whitened_state)
             if state is not None:
                 break
-        if state is None:
-            raise TruncationError(
-                f"no admissible starting state found in {budget} prior draws"
-            )
+        else:
+            raise TruncationError(f"no admissible starting state found in {budget} prior draws")
         self._current = state
 
     # -- state assembly -------------------------------------------------
@@ -357,15 +355,12 @@ class DgpChain:
         Returns None when the state is inadmissible (truncation violated or
         kernel assembly failed), which the caller treats as a rejection.
         """
-        spec = self.spec
         try:
-            hidden = _hidden_layers(spec, self.mesh, self._factor0, whitened)
-            trunc = spec.layers[-1].truncation
-            if trunc is not None and not trunc.admits(hidden[-1], self._spacing):
+            state = _forward(self.spec, self.mesh, self._spacing, self._factor0, whitened)
+            if state is None:
                 self.n_trunc_rejections += 1
                 return None
-
-            final_kernel = layer_kernel(spec.layers[-1], hidden[-1], self.mesh, spec.rescale_warp)
+            hidden, final_kernel = state
             post = _condition(final_kernel, self.data, (0.0,))
         except GpconvError:
             post = None
@@ -436,8 +431,9 @@ def dgp_posterior_mean(chain: DgpChain, n_burn: int, n_iter: int) -> np.ndarray:
     below TUNE_LOW and doubled if it is above TUNE_HIGH (kept in [1e-6, 1]);
     a final partial window leaves it as it is.  The step size is then
     frozen and the conditional posterior mean is averaged over ``n_iter``
-    further iterations.  If more than half of all proposals violated the
-    truncation ball, a warning is recorded on ``chain.warnings``.
+    further iterations.  The chain's counters (``n_trunc_rejections``,
+    ``n_assembly_failures``, ``iteration``) report what the ball and the
+    kernel assembly rejected.
     """
     if n_iter < 1:
         raise ParameterError(f"n_iter must be at least 1, got {n_iter}")
@@ -455,8 +451,4 @@ def dgp_posterior_mean(chain: DgpChain, n_burn: int, n_iter: int) -> np.ndarray:
     for _ in range(n_iter):
         chain.step()
         total += chain.conditional_mean()
-    if chain.n_trunc_rejections > 0.5 * chain.iteration:
-        chain.warnings.append(
-            f"truncation ball rejected {chain.n_trunc_rejections}/{chain.iteration} proposals"
-        )
     return total / n_iter

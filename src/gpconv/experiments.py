@@ -351,7 +351,7 @@ def run_dgp_convergence(
         chain = deep.DgpChain(config.kernel, data, mesh, step_beta=mcmc.beta, rng_seed=rng_seed)
         mean = deep.dgp_posterior_mean(chain, mcmc.n_burn, mcmc.n_iter)
         flags = []
-        if chain.warnings:
+        if chain.n_trunc_rejections > 0.5 * chain.iteration:
             flags.append("truncation-warning")
         if chain.n_assembly_failures > 0:
             flags.append("assembly-failures")

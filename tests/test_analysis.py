@@ -165,6 +165,41 @@ class TestErrorNorm:
         diff[100] = -3.0
         assert error_norm(lambda u: np.zeros_like(u), diff, mesh, "sup") == 3.0
 
+    @staticmethod
+    def _smooth_difference():
+        """A random smooth truth, a random smooth approximation on a uniform
+        mesh, and their difference there."""
+        rng = np.random.default_rng(7)
+        mesh = np.linspace(0.0, 5.0, 301)
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        k = np.arange(1, 7)
+
+        def truth(u):
+            return np.sin(np.outer(u, k)) @ (a / k**2)
+
+        approx = np.cos(np.outer(mesh, k)) @ (b / k**3)
+        return truth, approx, mesh, truth(mesh) - approx
+
+    def test_l2_is_trapezoid_of_squared_difference(self):
+        truth, approx, mesh, d = self._smooth_difference()
+        expected = math.sqrt(float(np.trapezoid(d * d, dx=mesh[1] - mesh[0])))
+        assert error_norm(truth, approx, mesh, "l2") == expected
+
+    def test_sup_is_max_absolute_difference(self):
+        truth, approx, mesh, d = self._smooth_difference()
+        assert error_norm(truth, approx, mesh, "sup") == float(np.max(np.abs(d)))
+
+    @pytest.mark.parametrize("kind, order", [("h1", 1), ("h2", 2)])
+    def test_sobolev_kinds_are_discrete_sobolev_norms(self, kind, order):
+        truth, approx, mesh, d = self._smooth_difference()
+        expected = discrete_norm(d, mesh, "sobolev_discrete", order)
+        assert error_norm(truth, approx, mesh, kind) == expected
+
+    def test_unknown_kind(self):
+        mesh = np.linspace(0.0, 1.0, 8)
+        with pytest.raises(ParameterError, match="unknown error norm kind"):
+            error_norm(np.zeros(8), np.zeros(8), mesh, "h3")
+
 
 class TestFitRate:
     def test_exact_quadratic_power_law(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpconv import deep, experiments, gp
+from gpconv.analysis import discrete_norm
 from gpconv.errors import ConfigError, ParameterError
 from gpconv.experiments import (
     FIGURE_BANDS,
@@ -465,6 +466,27 @@ class TestRunDgpConvergence:
         assert len(records) == 2
         assert all("assembly-failures" in r.flags for r in records)
         assert all(np.isfinite(r.errors["l2"]) for r in records)
+
+    def test_truncation_warning_flagged(self):
+        """With beta = 1 and no burn-in every proposal is an independent
+        prior draw, so a ball at the prior's 30th percentile rejects most of
+        them and flags every level; a vacuous ball flags none."""
+        config, _ = reference_tdgp_config()
+        quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
+        layer = config.kernel.layers[-1]
+        mesh = quick.eval_mesh()
+        free = replace(config.kernel, layers=(replace(layer, truncation=None),))
+        norms = [
+            discrete_norm(deep.sample_dgp_prior(free, mesh, seed=s)[0], mesh, "holder_discrete", 2)
+            for s in range(200)
+        ]
+        mcmc = McmcParams(n_burn=0, n_iter=40, beta=1.0)
+        for radius, flagged in ((float(np.percentile(norms, 30)), True), (1e9, False)):
+            trunc = replace(layer.truncation, radius=radius)
+            spec = replace(config.kernel, layers=(replace(layer, truncation=trunc),))
+            records, _ = run_dgp_convergence(replace(quick, kernel=spec), mcmc, seed=1)
+            assert len(records) == 2
+            assert all(("truncation-warning" in r.flags) == flagged for r in records)
 
 
 class TestCsv:
