@@ -37,11 +37,12 @@ class DesignSet:
     def __post_init__(self):
         pts = np.sort(np.asarray(self.points, dtype=float).ravel())
         a, b = float(self.domain[0]), float(self.domain[1])
-        if not a < b:
-            raise ParameterError(f"domain must satisfy a < b, got ({a}, {b})")
+        if not -math.inf < a < b < math.inf:
+            raise ParameterError(f"domain must be finite with a < b, got ({a}, {b})")
         if pts.size == 0:
             raise ParameterError("design must contain at least one point")
-        if pts[0] < a or pts[-1] > b:
+        # NaN sorts last and fails the comparison, so it is rejected here too
+        if not a <= pts[0] <= pts[-1] <= b:
             raise ParameterError("design points must lie inside the domain")
         if np.any(np.diff(pts) == 0.0):
             raise ParameterError("design points must be pairwise distinct")

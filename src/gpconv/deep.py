@@ -56,7 +56,12 @@ TUNE_HIGH = 0.40
 
 @dataclass(frozen=True)
 class Truncation:
-    """Norm-ball constraint on the layer feeding the final kernel."""
+    """Norm-ball constraint on the layer feeding the final kernel.
+
+    ``max_rejections`` bounds the prior draws of one ``sample_dgp_prior``
+    call and of a chain's start; a chain's steps have no budget, as each
+    rejected proposal only keeps the current state.
+    """
 
     norm_kind: str  # "holder_discrete" or "sobolev_discrete"
     order: int
@@ -77,7 +82,7 @@ class Truncation:
         """Whether the layer, or each row of a (width, m) layer, is in the ball.
 
         ``values`` lie on a uniform mesh of the given spacing, validated
-        once by ``_check_mesh`` rather than on every call.
+        once by ``_on_mesh`` rather than on every call.
         """
         return all(
             _spaced_norm(row, spacing, self.norm_kind, self.order) <= self.radius
@@ -191,23 +196,17 @@ def layer_kernel(
     return MixtureKernel(components=tuple(components))
 
 
-def _check_mesh(mesh, spec: DgpSpec) -> tuple[np.ndarray, float | None]:
-    """A sorted 1-D mesh and, if truncated, its spacing: the discrete norms
-    need a uniform mesh of at least order + 2 points (``_mesh_spacing``).
-    The spacing is None for an untruncated hierarchy."""
+def _on_mesh(spec: DgpSpec, mesh) -> tuple[np.ndarray, float | None, np.ndarray]:
+    """The hierarchy's setup on a mesh: the sorted 1-D mesh, its spacing if
+    truncated (the discrete norms need a uniform mesh of at least order + 2
+    points, ``_mesh_spacing``; None for an untruncated hierarchy) and the
+    rank-r spectral factor of the f0 Gram matrix (``_path_spectral``)."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
     trunc = spec.layers[-1].truncation
-    return mesh, None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)
-
-
-def _prior_whitened(spec: DgpSpec, m: int, rank0: int, rng) -> list[np.ndarray]:
-    """Standard normal coefficients of the hidden layers: (width, rank0) or
-    (rank0,) for f0, whose factor has rank0 columns, then (m,) for each
-    deeper hidden layer."""
-    first = rng.standard_normal((spec.width, rank0) if spec.width > 1 else rank0)
-    return [first] + [rng.standard_normal(m) for _ in range(spec.depth - 1)]
+    spacing = None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)
+    return mesh, spacing, _path_spectral(spec.layer0_kernel(), mesh)
 
 
 def _forward(
@@ -219,8 +218,8 @@ def _forward(
 
     ``factor0`` is the rank-r spectral factor of the f0 Gram matrix
     (``_path_spectral``); each deeper layer is drawn from the Cholesky
-    factor of its own kernel's Gram matrix.  ``spacing`` is the mesh
-    spacing from ``_check_mesh``, None for an untruncated hierarchy.
+    factor of its own kernel's Gram matrix.  ``factor0`` and ``spacing``
+    (None for an untruncated hierarchy) come from ``_on_mesh``.
     """
     hidden = [whitened[0] @ factor0.T]
     for layer, xi in zip(spec.layers, whitened[1:]):
@@ -232,32 +231,45 @@ def _forward(
     return hidden, layer_kernel(spec.layers[-1], hidden[-1], mesh, spec.rescale_warp)
 
 
+def _prior_state(
+    spec: DgpSpec, mesh: np.ndarray, spacing: float | None, factor0: np.ndarray, rng
+) -> tuple[list[np.ndarray], tuple[list[np.ndarray], KernelSpec]]:
+    """One prior draw of the hidden state: its whitened coefficients and
+    their ``_forward`` image (hidden layers, final kernel).
+
+    The coefficients are standard normal: (width, r) or (r,) for f0, whose
+    factor has r columns, then (m,) for each deeper hidden layer.  With a
+    truncation the whole state is redrawn until the ball admits its
+    constrained layer, up to max_rejections draws; without one there is a
+    single draw.
+    """
+    trunc = spec.layers[-1].truncation
+    attempts = trunc.max_rejections if trunc is not None else 1
+    rank0 = factor0.shape[1]
+    for _ in range(attempts):
+        whitened = [rng.standard_normal((spec.width, rank0) if spec.width > 1 else rank0)]
+        whitened += [rng.standard_normal(len(mesh)) for _ in range(spec.depth - 1)]
+        state = _forward(spec, mesh, spacing, factor0, whitened)
+        if state is not None:
+            return whitened, state
+    raise TruncationError(
+        f"no prior draw satisfied the norm ball after {attempts} attempts "
+        f"(empirical acceptance rate 0/{attempts}); enlarge the radius"
+    )
+
+
 def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     """One draw of every layer of the hierarchy on the mesh.
 
     Returns [f0, f1, ..., fD]; for width L > 1 the first entry is an
     (L, m) array of the independent initial layers.  With a truncation the
-    hidden layers are conditioned jointly on the ball: the whole hidden
-    state is redrawn through ``_forward`` until its constrained layer lands
-    in the ball, up to max_rejections, and only then is the final layer
-    drawn.  A truncated hierarchy needs a uniform mesh.
+    hidden layers are conditioned jointly on the ball (``_prior_state``),
+    and only then is the final layer drawn.  A truncated hierarchy needs a
+    uniform mesh.
     """
-    mesh, spacing = _check_mesh(mesh, spec)
+    mesh, spacing, factor0 = _on_mesh(spec, mesh)
     rng = np.random.default_rng(seed)
-    factor0 = _path_spectral(spec.layer0_kernel(), mesh)
-    trunc = spec.layers[-1].truncation
-    attempts = trunc.max_rejections if trunc is not None else 1
-    for _ in range(attempts):
-        whitened = _prior_whitened(spec, len(mesh), factor0.shape[1], rng)
-        state = _forward(spec, mesh, spacing, factor0, whitened)
-        if state is not None:
-            break
-    else:
-        raise TruncationError(
-            f"no prior draw satisfied the norm ball after {attempts} attempts "
-            f"(empirical acceptance rate 0/{attempts}); enlarge the radius"
-        )
-    hidden, final_kernel = state
+    _, (hidden, final_kernel) = _prior_state(spec, mesh, spacing, factor0, rng)
     final = rng.standard_normal(len(mesh)) @ _path_cholesky(final_kernel, mesh).T
     return hidden + [final]
 
@@ -275,14 +287,16 @@ class DgpChain:
     holds its final layer as a ``GpPosterior`` (``gp._condition``, ridged by
     the noise alone), whose ``neg_log_like`` is Phi.  The prior
     is sample_dgp_prior's, through the same forward map ``_forward``: with
-    a truncation the hidden layers are conditioned jointly on the ball, so
-    proposals whose constrained layer leaves it count as rejections
-    (``n_trunc_rejections``), as do proposals whose kernel assembly fails
-    (``n_assembly_failures``).  The start state is the first prior draw
-    that passes both; for ``rng_seed`` equal to the sampler's seed it holds
-    the sampler's hidden layers whenever that draw assembles.  A truncated
-    hierarchy needs a uniform mesh.  The chain itself never changes
-    ``step_beta``; dgp_posterior_mean tunes it during burn-in.
+    a truncation the hidden layers are conditioned jointly on the ball.
+    The start state is a prior draw, not a proposal: ``_prior_state``, the
+    sampler's own rejection loop, so for ``rng_seed`` equal to the
+    sampler's seed it holds the sampler's hidden layers, and a start whose
+    kernel fails to assemble or factor raises the error it met.  The
+    counters count proposals only: those whose constrained layer leaves
+    the ball (``n_trunc_rejections``) and those whose kernel assembly
+    fails or gives a non-finite likelihood (``n_assembly_failures``).  A
+    truncated hierarchy needs a uniform mesh.  The chain itself never
+    changes ``step_beta``; dgp_posterior_mean tunes it during burn-in.
 
     Layer 0's kernel is fixed for the whole chain, so its whitened state is
     the r-vector (or (width, r) array) of coefficients of its truncated
@@ -323,7 +337,7 @@ class DgpChain:
             raise ParameterError(f"step_beta must lie in [0, 1], got {step_beta}")
         self.spec = spec
         self.data = data
-        self.mesh, self._spacing = _check_mesh(mesh, spec)
+        self.mesh, self._spacing, self._factor0 = _on_mesh(spec, mesh)
         self.step_beta = float(step_beta)
         self.rng = np.random.default_rng(rng_seed)
         self.trace: list[dict] = []
@@ -332,28 +346,20 @@ class DgpChain:
         self.n_assembly_failures = 0
         self.n_accepted = 0
 
-        self._factor0 = _path_spectral(spec.layer0_kernel(), self.mesh)
-        # Rejection-sample an admissible starting state from the prior.
-        trunc = spec.layers[-1].truncation
-        budget = trunc.max_rejections if trunc is not None else 50
-        for _ in range(budget):
-            self.whitened_state = _prior_whitened(
-                spec, len(self.mesh), self._factor0.shape[1], self.rng
-            )
-            state = self._assemble(self.whitened_state)
-            if state is not None:
-                break
-        else:
-            raise TruncationError(f"no admissible starting state found in {budget} prior draws")
-        self._current = state
+        self.whitened_state, (hidden, final_kernel) = _prior_state(
+            spec, self.mesh, self._spacing, self._factor0, self.rng
+        )
+        post = _condition(final_kernel, data, (0.0,))
+        self._current = {"hidden": hidden, "post": post, "mean": None}
 
     # -- state assembly -------------------------------------------------
 
     def _assemble(self, whitened: list[np.ndarray]):
-        """Hidden layer values and final-layer posterior for a whitened state.
+        """Hidden layer values and final-layer posterior for a proposal.
 
-        Returns None when the state is inadmissible (truncation violated or
-        kernel assembly failed), which the caller treats as a rejection.
+        Returns None when the proposal is inadmissible (truncation violated
+        or kernel assembly failed), counted as such and treated by the
+        caller as a rejection.
         """
         try:
             state = _forward(self.spec, self.mesh, self._spacing, self._factor0, whitened)

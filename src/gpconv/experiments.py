@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import time
 import typing
 import warnings
@@ -146,6 +147,12 @@ class ExperimentConfig:
     rate_tail: int = 5
 
     def __post_init__(self):
+        # the id names the output files, so it must be a plain file-name stem
+        if not (isinstance(self.id, str) and re.fullmatch(r"[\w-][\w.-]*", self.id, re.ASCII)):
+            raise ConfigError(
+                "id must be letters, digits, '_', '-' and '.', not starting with '.', "
+                f"got {self.id!r}"
+            )
         object.__setattr__(self, "domain", _interval(self.domain, "domain"))
         if not _all_numbers(self.n_schedule, int):
             raise ConfigError(f"n_schedule must be a list of integers, got {self.n_schedule!r}")

@@ -73,6 +73,8 @@ class TrainingData:
             raise ParameterError(
                 f"got {len(pts)} points but {len(vals)} values"
             )
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+            raise ParameterError("points and values must be finite")
         if not 0 <= self.noise_var < math.inf:
             raise ParameterError(
                 f"noise_var must be non-negative and finite, got {self.noise_var}"

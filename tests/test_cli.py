@@ -116,6 +116,36 @@ class TestExitCodes:
         assert main([command, "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_id", ["../escaped", "a,b", "sub/dir", ".hidden", "", "a b"])
+    def test_id_must_be_file_name_stem(self, tmp_path, small_config_path, capsys, config_id):
+        """The id names the output files: one that would leave --out, break
+        the CSV or name a subdirectory exits 2 before any file is written."""
+        data = json.loads(small_config_path.read_text())
+        data["id"] = config_id
+        bad = tmp_path / "bad_id.json"
+        bad.write_text(json.dumps(data))
+        small_config_path.unlink()
+        argv = ["run", "--config", str(bad), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "id must be letters, digits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_numerical_failure_exits_3(self, tmp_path, small_config_path, capsys):
+        """A Gaussian-kernel Gram matrix on 64 points with no jitter does not
+        factor: the run stops with exit code 3."""
+        data = json.loads(small_config_path.read_text())
+        data.update(
+            kernel={"variant": "gaussian", "lam": 1.0},
+            n_schedule=[8, 64],
+            jitter=0.0,
+            eval_mesh_size=256,
+        )
+        bad = tmp_path / "singular.json"
+        bad.write_text(json.dumps(data))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Gram matrix is numerically singular")
+
     def test_negative_design_seed(self, tmp_path, small_config_path, capsys):
         data = json.loads(small_config_path.read_text())
         data["design"] = {"kind": "random", "seed": -2}

@@ -256,6 +256,40 @@ class TestChain:
         with pytest.raises(SamplingError, match="path jitter"):
             DgpChain(_warp_spec(), _training_data(), MESH, 0.25, 1)
 
+    def test_unfactorable_deeper_layer_is_sampling_error(self, monkeypatch):
+        """Layer 0 factors, but the Cholesky factor of the next layer's Gram
+        matrix does not: the sampler and the chain's start both raise the
+        SamplingError they met."""
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        spec = DgpSpec(
+            depth=2,
+            layer0_nu=3.5,
+            layer0_lambda=5.0,
+            layers=(LayerSpec("warp", 2.5), LayerSpec("mixture_f", 2.5)),
+            rescale_warp=True,
+        )
+        monkeypatch.setattr(linalg, "cholesky", failing)
+        with pytest.raises(SamplingError, match="path jitter"):
+            sample_dgp_prior(spec, MESH, seed=0)
+        with pytest.raises(SamplingError, match="path jitter"):
+            DgpChain(spec, _training_data(), MESH, 0.25, 1)
+
+    def test_start_is_not_a_proposal(self):
+        """The start state is a prior draw, not a proposal: a fresh chain
+        counts no rejection, even on a ball at the prior's 30th percentile,
+        which rejects most prior draws."""
+        mesh = np.linspace(0.0, 5.0, 128)
+        layer0 = [sample_dgp_prior(_warp_spec(), mesh, seed=s)[0] for s in range(200)]
+        norms = [discrete_norm(f0, mesh, "holder_discrete", 2) for f0 in layer0]
+        radius = float(np.percentile(norms, 30))
+        spec = _warp_spec(truncation=Truncation("holder_discrete", 2, radius))
+        for seed in range(10):
+            chain = DgpChain(spec, _training_data(), mesh, 0.3, rng_seed=seed)
+            assert (chain.n_trunc_rejections, chain.n_assembly_failures) == (0, 0)
+
     def test_beta_zero_chain_is_constant(self):
         chain = DgpChain(_warp_spec(), _training_data(), MESH, step_beta=0.0, rng_seed=2)
         state0 = [x.copy() for x in chain.whitened_state]

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gpconv.analysis import DesignSet
 from gpconv.deep import LayerSpec, Truncation
 from gpconv.errors import ConfigError, ParameterError
 from gpconv.experiments import NoiseModel
@@ -34,9 +35,12 @@ def _data(noise_var=0.0):
         (lambda: NoiseModel("fixed", delta_sq=NAN), ConfigError),
         (lambda: NoiseModel("schedule", c_delta=NAN), ConfigError),
         (lambda: check_psd(MaternKernel(1.5), PTS, tol=NAN), ParameterError),
+        (lambda: TrainingData([0.0, NAN], [1.0, 2.0]), ParameterError),
+        (lambda: TrainingData([0.0, 1.0], [1.0, NAN]), ParameterError),
+        (lambda: DesignSet(points=[0.5, NAN], domain=(0.0, 1.0)), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol"],
+         "psd-tol", "training-point", "training-value", "design-point"],
 )
 def test_nan_rejected(build, error):
     with pytest.raises(error):
@@ -60,9 +64,13 @@ INF = math.inf
         (lambda: MaternKernel(2.5, sigma_sq=INF), ParameterError),
         (lambda: GaussianKernel(lam=INF), ParameterError),
         (lambda: GaussianKernel(sigma_sq=INF), ParameterError),
+        (lambda: TrainingData([0.0, INF], [1.0, 2.0]), ParameterError),
+        (lambda: TrainingData([0.0, 1.0], [1.0, INF]), ParameterError),
+        (lambda: DesignSet(points=[0.5], domain=(0.0, INF)), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq"],
+         "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
+         "training-point", "training-value", "design-domain"],
 )
 def test_inf_rejected(build, error):
     with pytest.raises(error):
