@@ -114,15 +114,24 @@ def _mesh_spacing(mesh: np.ndarray, min_points: int = 2) -> float:
 
 
 def _difference_derivatives(values: np.ndarray, h: float, order: int) -> list[np.ndarray]:
-    """values and its first ``order`` central-difference derivatives."""
+    """values and its first ``order`` central-difference derivatives, with
+    second-order one-sided differences at the ends: the expressions of
+    ``np.gradient(f, h, edge_order=2)``, so bit for bit its result, without
+    its per-call set-up: the C^2 norm on 1024 points took 53 us with it and
+    takes 36 us without (best of 7, 2-core Xeon VM)."""
     derivatives = [np.asarray(values, dtype=float)]
     for _ in range(order):
-        derivatives.append(np.gradient(derivatives[-1], h, edge_order=2))
+        f = derivatives[-1]
+        d = np.empty_like(f)
+        d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+        d[0] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
+        d[-1] = (0.5 / h) * f[-3] + (-2.0 / h) * f[-2] + (1.5 / h) * f[-1]
+        derivatives.append(d)
     return derivatives
 
 
 def discrete_norm(values, mesh, kind: str, order: int) -> float:
-    """Discrete Sobolev or Hoelder norm of mesh values.
+    """Discrete Sobolev or Hoelder norm of finite mesh values.
 
     ``sobolev_discrete`` is sqrt of the summed trapezoid integrals of the
     squared derivatives up to ``order``; ``holder_discrete`` sums the max
@@ -134,12 +143,15 @@ def discrete_norm(values, mesh, kind: str, order: int) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != mesh.shape:
         raise MeshError("values and mesh must have matching shapes")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("values must be finite")
     return _spaced_norm(values, _mesh_spacing(mesh, order + 2), kind, order)
 
 
 def _spaced_norm(values: np.ndarray, h: float, kind: str, order: int) -> float:
     """``discrete_norm`` of values on a uniform mesh of known spacing h > 0,
-    without validating the mesh; for callers that validated it once."""
+    without validating the mesh or the values' finiteness; for callers
+    that validated the mesh once (the chain's truncation check)."""
     derivatives = _difference_derivatives(values, h, order)
     if kind == "sobolev_discrete":
         total = sum(float(np.trapezoid(d * d, dx=h)) for d in derivatives)

@@ -9,16 +9,16 @@ k, the posterior is the Gaussian process with
 where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
-Every Gram matrix this module factors lives in one C-ordered N x N buffer
-from assembly to factor: ``_gram`` fills it in the row blocks that
-prediction uses (``_row_blocks``), and ``_ridged_cholesky`` factors it in
-place, so a fit holds one N x N array and no kernel intermediate larger
-than a block.  Below ``UPPER_CHOLESKY_MIN_N`` points the buffer holds the
-whole Gram matrix and LAPACK's lower variant factors it; from there on
-``_gram`` assembles only the C-order lower triangle, half the kernel
-entries, which LAPACK's upper variant reads through the buffer's
-transpose.  ``kernels.gram`` stays the one-shot definition the assembled
-entries equal bit for bit.
+Every Gram matrix this module factors lives in one buffer from assembly to
+factor: it is filled in the row blocks that prediction uses
+(``_row_blocks``) and ``_ridged_cholesky`` factors it in place, so a fit
+holds one Gram-sized array and no kernel intermediate larger than a block.
+Below ``PACKED_MIN_N`` points the buffer is the whole N x N matrix
+(``_gram``) and LAPACK's lower variant factors it; from there on it holds
+the lower triangle in LAPACK's rectangular full packed (RFP) storage
+(``_packed_gram``), N(N+1)/2 numbers, which ``dpftrf`` factors and
+``dpftrs`` and ``dtfsm`` solve with.  ``kernels.gram`` stays the one-shot
+definition the assembled entries equal bit for bit.
 ``posterior_means`` predicts several fitted levels in one pass over the
 query points, evaluating each block of the cross matrix once against the
 union of the levels' designs; ``posterior_mean`` is its one-level case, so
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .errors import ParameterError, SamplingError, SingularGramError
 from .kernels import KernelSpec, _as_points, kernel_diag, kernel_matrix
@@ -51,9 +52,9 @@ VARIANCE_CLAMP = 1e-8
 PATH_JITTER_SCALE = 1e-12
 # Cross-matrix entries per prediction block (512 KB of float64)
 PREDICT_BLOCK_ENTRIES = 2**16
-# Gram matrices of this many points and more are assembled in one triangle
-# and factored by LAPACK's upper variant (``_ridged_cholesky``)
-UPPER_CHOLESKY_MIN_N = 512
+# Gram matrices of this many points and more are assembled and factored in
+# rectangular full packed storage (``_packed_gram``, ``_ridged_cholesky``)
+PACKED_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,12 @@ class GpPosterior:
     """Fitted regression state: kernel, data and the factored Gram matrix.
 
     ``factor`` is the lower-triangular Cholesky factor L of K + s I with
-    s = noise_var + jitter, with a zero strict upper triangle and stored in
-    the memory of the Gram buffer it was factored from.  Below
-    ``UPPER_CHOLESKY_MIN_N`` points it is F-ordered, LAPACK's lower factor;
-    from there on it is C-ordered, the transpose of LAPACK's upper factor
-    U = L^T.  Either way ``solve_triangular(factor, ..., lower=True)`` takes
-    it without a copy.
+    s = noise_var + jitter, stored in the memory of the Gram buffer it was
+    factored from.  Below ``PACKED_MIN_N`` points it is a dense F-ordered
+    N x N array with a zero strict upper triangle, LAPACK's lower factor;
+    from there on it is the 1-D vector of N(N+1)/2 numbers that holds L in
+    rectangular full packed storage (``_packed_gram``; LAPACK ``TRANSR='N'``,
+    ``UPLO='L'``), which ``lapack.dtfttr(N, factor, uplo='L')`` expands.
     ``weights`` are the solved representer coefficients and
     ``neg_log_like`` is 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
     ``jitter`` is the value actually used; ``escalated`` records whether the
@@ -116,67 +117,131 @@ class GpPosterior:
     escalated: bool = False
 
 
-def _gram(spec: KernelSpec, points, for_cholesky: bool = False) -> np.ndarray:
-    """Gram matrix on the points in one C-ordered buffer, filled in the
+def _gram(spec: KernelSpec, points) -> np.ndarray:
+    """Gram matrix on the points in one C-ordered N x N buffer, filled in the
     row blocks ``_row_blocks(N, N)``; a single block is the buffer itself.
 
-    An entry depends only on its own pair of points, so every entry filled
-    equals that of ``kernel_matrix(spec, points)`` bit for bit.  The whole
-    buffer is filled, and exactly symmetric, unless ``for_cholesky`` asks
-    for what ``_ridged_cholesky`` reads: from ``UPPER_CHOLESKY_MIN_N``
-    points on, each row block is evaluated only against the columns up to
-    its last row, so the C-order lower triangle holds the Gram matrix and
-    the strict upper triangle is left unset outside the blocks' diagonal
-    squares.
+    An entry depends only on its own pair of points, so every entry equals
+    that of ``kernel_matrix(spec, points)`` bit for bit and the buffer is
+    exactly symmetric.
     """
     points = _as_points(points)
     n = len(points)
-    lower = for_cholesky and n >= UPPER_CHOLESKY_MIN_N
     buffer = None
     for rows in _row_blocks(n, n):
-        cols = slice(0, rows.stop if lower else n)
-        block = kernel_matrix(spec, points[rows], points[cols])
+        block = kernel_matrix(spec, points[rows], points)
         if len(block) == n:
             return block
         if buffer is None:
             buffer = np.empty((n, n))
-        buffer[rows, cols] = block
+        buffer[rows] = block
     return buffer
+
+
+def _packed_gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Lower triangle of the Gram matrix on the points in LAPACK's
+    rectangular full packed storage (``TRANSR='N'``, ``UPLO='L'``;
+    Gustavson, Wasniewski, Dongarra and Langou 2010, ACM TOMS 37(2)): a 1-D
+    vector of N(N+1)/2 numbers.
+
+    With q = N // 2 and p = N - q the vector is a C-ordered array of p rows
+    of 2q + 1 numbers, and row j is k(x[q + j], x[p : q + j + 1]) followed
+    by k(x[j], x[j:]): a row of the trailing q x q block's lower triangle,
+    then a column of the whole lower triangle from the diagonal down.  The
+    rows are filled in the blocks ``_row_blocks(p, N)``, each from one
+    kernel evaluation per part; in the block's square where the parts meet,
+    the first gives the strict lower triangle and the second the rest.  So
+    about N^2 / 2 entries are evaluated, each equal to that of
+    ``kernel_matrix(spec, points)`` bit for bit, and the vector is
+    ``lapack.dtrttf`` of the one-shot matrix.
+    """
+    n = len(points)
+    q = n // 2
+    p = n - q
+    shift = q + 1 - p  # the first part of row j has j + shift entries
+    packed = np.empty((p, 2 * q + 1))
+    for rows in _row_blocks(p, n):
+        start, stop = rows.start, rows.stop
+        size = stop - start
+        packed[rows, : stop + shift - 1] = kernel_matrix(
+            spec, points[q + start : q + stop], points[p : q + stop]
+        )
+        columns = kernel_matrix(spec, points[rows], points[start:])
+        np.copyto(
+            packed[rows, start + shift : stop + shift],
+            columns[:, :size],
+            where=np.tri(size, dtype=bool).T,
+        )
+        packed[rows, stop + shift :] = columns[:, size:]
+    return packed.reshape(-1)
+
+
+def _flat_diagonal(matrix: np.ndarray) -> tuple:
+    """A flat, writable view of a Gram matrix or factor held full (2-D,
+    ``matrix.flat``) or packed (1-D, ``_packed_gram``), and the positions
+    of its diagonal in it."""
+    if matrix.ndim == 2:
+        return matrix.flat, slice(None, None, len(matrix) + 1)
+    n = (math.isqrt(8 * matrix.size + 1) - 1) // 2
+    q = n // 2
+    p = n - q
+    step = 2 * q + 2
+    # the leading p x p block's diagonal, then the trailing q x q block's
+    leading = np.arange(p) * step + (q + 1 - p)
+    return matrix, np.concatenate([leading, np.arange(q) * step + (p - q) * (step - 1)])
+
+
+def _cholesky_gram(spec: KernelSpec, points) -> np.ndarray:
+    """Gram matrix on the points in the storage ``_ridged_cholesky``
+    factors: the full ``_gram`` buffer below ``PACKED_MIN_N`` points, the
+    ``_packed_gram`` vector from there on."""
+    points = _as_points(points)
+    return _gram(spec, points) if len(points) < PACKED_MIN_N else _packed_gram(spec, points)
 
 
 def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
     """Lower Cholesky factor L of ``matrix + ridge I``, factored in place.
 
-    ``matrix`` is a C-ordered buffer from ``_gram(..., for_cholesky=True)``,
-    so its transpose is an F-ordered view of the same memory, which LAPACK
-    factors without a copy.  Below ``UPPER_CHOLESKY_MIN_N`` points the
-    buffer is exactly symmetric and the lower variant factors it: L is
-    F-ordered and bit-identical to the factor of the C-ordered matrix.  From
-    there on the upper variant reads the transpose's upper triangle, which
-    is the buffer's assembled C-order lower triangle, and L is the
-    C-ordered transpose of its factor U.  Afterwards the buffer holds the
-    factor, or, when the factorisation fails, a partly factored matrix.
+    ``matrix`` comes from ``_cholesky_gram``.  A full buffer is exactly
+    symmetric and C-ordered, so its transpose is an F-ordered view of the
+    same memory, which LAPACK's lower variant factors without a copy: L is
+    F-ordered and bit-identical to the factor of the C-ordered matrix.  A
+    packed vector is factored by ``dpftrf``, and L is held in it the same
+    way.  Afterwards the buffer holds the factor, or, when the
+    factorisation meets a non-positive pivot (``LinAlgError``), a partly
+    factored matrix.
 
-    The switch is by size because neither variant is faster at every N.
-    In-place factorisations of a random SPD matrix on one BLAS thread,
-    OpenBLAS 0.3.30 (scipy 1.17.1's bundled build, SkylakeX kernels) on a
-    2-core Xeon VM, medians of 15 alternating runs (7 at N = 4096), ms:
+    The switch is by size, not by speed, so that the TDGP chain's factors
+    (N <= 256) keep the lower variant and their last bits; ``dpftrf`` is
+    the faster of the two at every N measured.  In-place factorisations of
+    a ridged Matern-1/2 Gram matrix on random points, OpenBLAS 0.3.30
+    (scipy 1.17.1's bundled build) on a 2-core Xeon VM, medians of 9 runs
+    (5 at N = 4096), ms:
 
-        N        128    256    384    512    768   1024   2048   4096
-        lower   0.115  0.579  1.54   3.53   9.81   22.8    132    888
-        upper   0.130  0.664  1.67   3.49   9.38   20.0    112    694
-
-    On two threads the upper variant also wins from 512 points on (1024:
-    17.7 -> 13.7 ms, 4096: 586 -> 391 ms).  The switch sits at the
-    one-thread crossover, the thread count of the ``figures`` and ``dgp``
-    commands, so the TDGP chain's factors (N <= 256) keep the lower
-    variant and their last bits.
+        threads  N       256    512   1024   2048   4096
+        1        lower  0.51   2.72   20.9    109    580
+                 packed 0.41   2.41   16.7   85.5    522
+        2        lower  0.53   2.71   14.6   74.6    436
+                 packed 0.38   1.78    9.6   54.2    330
     """
-    n = len(matrix)
-    matrix.flat[:: n + 1] += ridge
-    if n < UPPER_CHOLESKY_MIN_N:
+    flat, diagonal = _flat_diagonal(matrix)
+    flat[diagonal] += ridge
+    if matrix.ndim == 2:
         return linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
-    return linalg.cholesky(matrix.T, lower=False, overwrite_a=True, check_finite=False).T
+    factor, info = lapack.dpftrf(len(diagonal), matrix, uplo="L", overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpftrf failed with info {info}: not positive definite")
+    return factor
+
+
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for a fit's factor L, full or packed, solved in the memory
+    of the F-ordered rhs."""
+    if factor.ndim == 2:
+        return linalg.solve_triangular(
+            factor, rhs, lower=True, overwrite_b=True, check_finite=False
+        )
+    return lapack.dtfsm(1.0, factor, rhs, uplo="L", overwrite_b=1)
 
 
 def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) -> GpPosterior:
@@ -202,16 +267,15 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
         try:
             # no name holds the buffer, so a failed one is freed before the rebuild
             factor = _ridged_cholesky(
-                _gram(spec, data.points, for_cholesky=True), data.noise_var + jitter
+                _cholesky_gram(spec, data.points), data.noise_var + jitter
             )
             break
         except np.linalg.LinAlgError:
             pass
     else:
-        regularised = _gram(spec, data.points, for_cholesky=True)
+        regularised = _gram(spec, data.points)
         regularised.flat[:: data.n + 1] += data.noise_var + jitter
-        # the lower triangle is the one assembled at every N
-        smallest = float(np.linalg.eigvalsh(regularised, UPLO="L")[0])
+        smallest = float(np.linalg.eigvalsh(regularised)[0])
         raise SingularGramError(
             f"Gram matrix is numerically singular: Cholesky met a "
             f"non-positive pivot at jitter {jitter:.3e} (N={data.n}, "
@@ -219,12 +283,12 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
             "too little regularisation"
         )
 
-    # LAPACK gets the F-ordered one of L and U = L^T, so nothing is copied
-    lower = bool(factor.flags.f_contiguous)
-    weights = linalg.cho_solve(
-        (factor if lower else factor.T, lower), data.values, check_finite=False
-    )
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    if factor.ndim == 2:
+        weights = linalg.cho_solve((factor, True), data.values, check_finite=False)
+    else:
+        weights, _ = lapack.dpftrs(data.n, factor, data.values, uplo="L")
+    flat, diagonal = _flat_diagonal(factor)
+    log_det = 2.0 * float(np.sum(np.log(flat[diagonal])))
     return GpPosterior(
         spec=spec,
         data=data,
@@ -266,7 +330,7 @@ def posterior_means(spec: KernelSpec, levels, query) -> np.ndarray:
     each product by its height, and the last bits can differ from the
     unblocked product.
     """
-    query = _as_points(query)
+    query = _query_points(query)
     union, columns = _union_columns([_as_points(points) for points, _ in levels])
     means = np.empty((len(levels), len(query)))
     for rows, cross in _cross_blocks(spec, query, union):
@@ -306,6 +370,14 @@ def _union_columns(point_sets: list[np.ndarray]) -> tuple[np.ndarray, list]:
     return stacked[firsts], columns
 
 
+def _query_points(query) -> np.ndarray:
+    """The query as 1-D points; a non-finite point is a ParameterError."""
+    query = _as_points(query)
+    if not np.all(np.isfinite(query)):
+        raise ParameterError("query points must be finite")
+    return query
+
+
 def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
     """Yield (rows, k(query[rows], points)) for the query's
     ``_row_blocks`` against the points."""
@@ -342,8 +414,8 @@ def _block_rows(n_points: int) -> int:
     took 0.36 s in one shot and 0.19 s in these 16-row blocks (first call
     in a fresh process, medians of 9, same VM); the one-shot build also
     page-faults a fresh N x N array for every kernel intermediate.  From
-    ``UPPER_CHOLESKY_MIN_N`` points on, Gram assembly keeps the row count
-    but stops each block at its last row's column, the lower triangle.
+    ``PACKED_MIN_N`` points on, packed assembly (``_packed_gram``) walks
+    the N - N // 2 rows of its packed array in blocks of this many rows.
     """
     return max(4, PREDICT_BLOCK_ENTRIES // n_points // 4 * 4)
 
@@ -356,8 +428,8 @@ def posterior_cov(post: GpPosterior, u, v) -> float:
     since that signals real cancellation trouble rather than roundoff.
     With L the factor, the subtracted term is (L^-1 k(u, U)) . (L^-1 k(v, U)).
     """
-    cross = kernel_matrix(post.spec, np.ravel([u, v]), post.data.points)
-    half = linalg.solve_triangular(post.factor, cross.T, lower=True, check_finite=False)
+    cross = kernel_matrix(post.spec, _query_points(np.ravel([u, v])), post.data.points)
+    half = _solve_lower(post.factor, cross.T)
     prior = kernel_matrix(post.spec, u, v)[0, 0]
     value = float(prior - half[:, 0] @ half[:, 1])
     if np.array_equal(np.asarray(u, dtype=float), np.asarray(v, dtype=float)):
@@ -371,10 +443,10 @@ def posterior_var(post: GpPosterior, query) -> np.ndarray:
     Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over the
     prediction's ``_cross_blocks``, so no query-sized cross matrix is held.
     """
-    query = _as_points(query)
+    query = _query_points(query)
     raw = kernel_diag(post.spec, query)
     for rows, cross in _cross_blocks(post.spec, query, post.data.points):
-        half = linalg.solve_triangular(post.factor, cross.T, lower=True, check_finite=False)
+        half = _solve_lower(post.factor, cross.T)
         raw[rows] -= np.sum(half**2, axis=0)
     # the most negative value decides: the clamp raises on it, or all clamp to 0
     _clamp_variance(float(np.min(raw, initial=0.0)))
@@ -390,25 +462,31 @@ def _clamp_variance(value: float) -> float:
     return max(value, 0.0)
 
 
-def _path_gram(
-    spec: KernelSpec, mesh: np.ndarray, for_cholesky: bool = False
-) -> tuple[np.ndarray, float]:
-    """Gram matrix on the mesh, as ``_gram`` builds it, and its path jitter,
-    PATH_JITTER_SCALE times its largest diagonal entry."""
-    gram_matrix = _gram(spec, mesh, for_cholesky)
-    return gram_matrix, PATH_JITTER_SCALE * float(np.max(np.diag(gram_matrix)))
+def _path_jitter(gram_matrix: np.ndarray) -> float:
+    """PATH_JITTER_SCALE times the largest diagonal entry of a Gram matrix
+    held full or packed."""
+    flat, diagonal = _flat_diagonal(gram_matrix)
+    return PATH_JITTER_SCALE * float(np.max(flat[diagonal]))
 
 
 def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the Gram matrix on the mesh plus the path jitter."""
-    gram_matrix, path_jitter = _path_gram(spec, mesh, for_cholesky=True)
+    """Lower Cholesky factor of the Gram matrix on the mesh plus the path
+    jitter: a dense F-ordered array with a zero strict upper triangle.  A
+    packed factor (``PACKED_MIN_N`` mesh points and more) is expanded by
+    ``dtfttr`` for the path product."""
+    mesh = _as_points(mesh)
+    gram_matrix = _cholesky_gram(spec, mesh)
+    path_jitter = _path_jitter(gram_matrix)
     try:
-        return _ridged_cholesky(gram_matrix, path_jitter)
+        factor = _ridged_cholesky(gram_matrix, path_jitter)
     except np.linalg.LinAlgError as exc:
         raise SamplingError(
             f"prior covariance on the mesh is not factorable even with "
             f"path jitter {path_jitter:.3e}"
         ) from exc
+    if factor.ndim == 1:
+        factor, _ = lapack.dtfttr(len(mesh), factor, uplo="L")
+    return factor
 
 
 def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
@@ -424,7 +502,8 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     (``evd`` keeps 72 pairs of that matrix, ``evr`` 73).  Raises
     SamplingError when the eigensolver fails or keeps no pair.
     """
-    gram_matrix, path_jitter = _path_gram(spec, mesh)
+    gram_matrix = _gram(spec, mesh)
+    path_jitter = _path_jitter(gram_matrix)
     try:
         # the transpose is the symmetric buffer's F-ordered view: no copy
         values, vectors = linalg.eigh(

@@ -152,10 +152,14 @@ def _matern_profile(nu: float, lam: float, sigma_sq: float, r: np.ndarray) -> np
         return _matern_bessel_profile(nu, sigma_sq, z)
     # exponential-times-polynomial closed form for nu = p + 1/2, by Horner's rule
     coeffs = _half_integer_coefficients(p)
-    out = np.full_like(z, sigma_sq * coeffs[p])
-    for c in reversed(coeffs[:p]):
-        out *= z
-        out += sigma_sq * c
+    if p == 0:
+        out = np.full_like(z, sigma_sq * coeffs[0])
+    else:
+        out = np.multiply(z, sigma_sq * coeffs[p], out=np.empty_like(z))
+        out += sigma_sq * coeffs[p - 1]
+        for c in reversed(coeffs[: p - 1]):
+            out *= z
+            out += sigma_sq * c
     np.negative(z, out=z)
     out *= np.exp(z, out=z)
     return out

@@ -12,6 +12,7 @@ from scipy import integrate
 
 from gpconv.analysis import (
     DesignSet,
+    _difference_derivatives,
     discrete_norm,
     error_norm,
     fill_distance,
@@ -134,6 +135,16 @@ class TestDiscreteNorm:
     def test_rejects_short_mesh(self):
         with pytest.raises(MeshError):
             discrete_norm(np.zeros(2), np.array([0.0, 1.0]), "sobolev_discrete", 1)
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 17, 1024])
+    @pytest.mark.parametrize("h", [0.1, 1.0 / 3.0, 5.0 / 1023.0, 2.0])
+    def test_differences_are_np_gradient_bit_for_bit(self, length, h):
+        values = np.random.default_rng(length).standard_normal(length)
+        expected = [values]
+        for _ in range(3):
+            expected.append(np.gradient(expected[-1], h, edge_order=2))
+        for got, want in zip(_difference_derivatives(values, h, 3), expected, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestErrorNorm:

@@ -10,11 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from gpconv.analysis import DesignSet
+from gpconv.analysis import DesignSet, discrete_norm
 from gpconv.deep import LayerSpec, Truncation
 from gpconv.errors import ConfigError, ParameterError
 from gpconv.experiments import NoiseModel
-from gpconv.gp import TrainingData, fit
+from gpconv.gp import TrainingData, fit, posterior_cov, posterior_mean, posterior_var
 from gpconv.kernels import GaussianKernel, MaternKernel, check_psd
 
 NAN = math.nan
@@ -23,6 +23,13 @@ PTS = np.array([0.0, 1.0, 2.0])
 
 def _data(noise_var=0.0):
     return TrainingData(points=PTS, values=np.zeros(3), noise_var=noise_var)
+
+
+def _post():
+    return fit(MaternKernel(2.5), TrainingData(PTS, np.array([1.0, 2.0, 0.5])))
+
+
+MESH = np.linspace(0.0, 1.0, 5)
 
 
 @pytest.mark.parametrize(
@@ -38,9 +45,15 @@ def _data(noise_var=0.0):
         (lambda: TrainingData([0.0, NAN], [1.0, 2.0]), ParameterError),
         (lambda: TrainingData([0.0, 1.0], [1.0, NAN]), ParameterError),
         (lambda: DesignSet(points=[0.5, NAN], domain=(0.0, 1.0)), ParameterError),
+        (lambda: posterior_mean(_post(), [0.5, NAN]), ParameterError),
+        (lambda: posterior_var(_post(), [0.5, NAN]), ParameterError),
+        (lambda: posterior_cov(_post(), 0.5, NAN), ParameterError),
+        (lambda: discrete_norm([0.0, NAN, 1.0, 2.0, 3.0], MESH, "holder_discrete", 2),
+         ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol", "training-point", "training-value", "design-point"],
+         "psd-tol", "training-point", "training-value", "design-point", "query-mean",
+         "query-var", "query-cov", "norm-values"],
 )
 def test_nan_rejected(build, error):
     with pytest.raises(error):
@@ -67,10 +80,16 @@ INF = math.inf
         (lambda: TrainingData([0.0, INF], [1.0, 2.0]), ParameterError),
         (lambda: TrainingData([0.0, 1.0], [1.0, INF]), ParameterError),
         (lambda: DesignSet(points=[0.5], domain=(0.0, INF)), ParameterError),
+        (lambda: posterior_mean(_post(), [0.5, INF]), ParameterError),
+        (lambda: posterior_var(_post(), [0.5, -INF]), ParameterError),
+        (lambda: posterior_cov(_post(), INF, 0.5), ParameterError),
+        (lambda: discrete_norm([0.0, 1.0, INF, 2.0, 3.0], MESH, "sobolev_discrete", 1),
+         ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
          "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
-         "training-point", "training-value", "design-domain"],
+         "training-point", "training-value", "design-domain", "query-mean", "query-var",
+         "query-cov", "norm-values"],
 )
 def test_inf_rejected(build, error):
     with pytest.raises(error):
