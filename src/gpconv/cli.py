@@ -17,6 +17,10 @@ small products stop paying for a spinning second thread.  If a library or
 its thread setter cannot be found, the command runs unpinned and says so on
 stderr.  ``run`` keeps the default threads: its single large factorisation
 and prediction per level gain from a second thread.
+
+The console report ends where its reader does: once stdout is a closed
+pipe (as under ``| head -1``), the rest of the report is dropped, and the
+command still writes every file and keeps its exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import contextlib
 import ctypes
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +104,18 @@ def _one_blas_thread():
             setter(count)
 
 
+def _report(line: str) -> None:
+    """Print one line of the console report.  On a closed stdout the line
+    is lost, and the stream is pointed at the null device, so the rest of
+    the report and the flush at exit are dropped too."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _load_config(path: str) -> experiments.ExperimentConfig:
     config_path = Path(path)
     if not config_path.is_file():
@@ -133,14 +150,14 @@ def _finish_study(out_dir: Path, config, records, fits):
     _write_outputs(out_dir, config, records, fits)
     (out_dir / "rates.csv").write_text(experiments.rates_csv({config.id: fits}))
     for norm, fit in fits.items():
-        print(f"  {norm}: slope {fit.slope:.3f} (r^2 {fit.r_squared:.4f})")
+        _report(f"  {norm}: slope {fit.slope:.3f} (r^2 {fit.r_squared:.4f})")
 
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     records, fits = experiments.run_convergence(config, args.seed)
     total_ms = sum(r.wall_time_ms for r in records)
-    print(f"{config.id}: {len(records)} levels in {total_ms:.0f} ms")
+    _report(f"{config.id}: {len(records)} levels in {total_ms:.0f} ms")
     _finish_study(Path(args.out), config, records, fits)
     return EXIT_OK
 
@@ -155,7 +172,7 @@ def cmd_figures(args) -> int:
 
     out_dir = Path(args.out)
     all_fits = {}
-    print(f"{'config':22s} {'expected':>8s} {'fitted':>8s} {'r^2':>7s}  status")
+    _report(f"{'config':22s} {'expected':>8s} {'fitted':>8s} {'r^2':>7s}  status")
     for config in configs:
         records, fits = experiments.run_convergence(config, args.seed)
         band_info = experiments.FIGURE_BANDS[config.id]
@@ -166,7 +183,7 @@ def cmd_figures(args) -> int:
         if "info_band" in band_info:
             ilo, ihi = band_info["info_band"]
             status += " (info band: " + ("in" if ilo <= slope <= ihi else "out") + ")"
-        print(
+        _report(
             f"{config.id:22s} {expected:8.1f} {slope:8.3f} "
             f"{fits['l2'].r_squared:7.4f}  {status}"
         )
@@ -180,7 +197,7 @@ def cmd_dgp(args) -> int:
     config = _load_config(args.config)
     mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters, beta=args.beta)
     records, fits = experiments.run_dgp_convergence(config, mcmc, args.seed)
-    print(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))
+    _report(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))
     _finish_study(Path(args.out), config, records, fits)
     return EXIT_OK
 

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .analysis import _mesh_spacing, _spaced_norm
 from .errors import (
@@ -217,14 +218,15 @@ def _forward(
     last of them; None when the truncation ball rejects that layer.
 
     ``factor0`` is the rank-r spectral factor of the f0 Gram matrix
-    (``_path_spectral``); each deeper layer is drawn from the Cholesky
-    factor of its own kernel's Gram matrix.  ``factor0`` and ``spacing``
+    (``_path_spectral``); each deeper layer is drawn from the packed
+    Cholesky factor of its own kernel's Gram matrix (``_path_cholesky``)
+    by ``dtpmv``.  ``factor0`` and ``spacing``
     (None for an untruncated hierarchy) come from ``_on_mesh``.
     """
     hidden = [whitened[0] @ factor0.T]
     for layer, xi in zip(spec.layers, whitened[1:]):
         kernel = layer_kernel(layer, hidden[-1], mesh, spec.rescale_warp)
-        hidden.append(xi @ _path_cholesky(kernel, mesh).T)
+        hidden.append(blas.dtpmv(len(mesh), _path_cholesky(kernel, mesh), xi, lower=1))
     trunc = spec.layers[-1].truncation
     if trunc is not None and not trunc.admits(hidden[-1], spacing):
         return None
@@ -270,7 +272,8 @@ def sample_dgp_prior(spec: DgpSpec, mesh, seed: int) -> list[np.ndarray]:
     mesh, spacing, factor0 = _on_mesh(spec, mesh)
     rng = np.random.default_rng(seed)
     _, (hidden, final_kernel) = _prior_state(spec, mesh, spacing, factor0, rng)
-    final = rng.standard_normal(len(mesh)) @ _path_cholesky(final_kernel, mesh).T
+    xi = rng.standard_normal(len(mesh))
+    final = blas.dtpmv(len(mesh), _path_cholesky(final_kernel, mesh), xi, lower=1)
     return hidden + [final]
 
 
@@ -312,12 +315,14 @@ class DgpChain:
     The whole trajectory is reproducible from (spec, data, mesh, step_beta,
     rng_seed) at fixed numpy, scipy and OpenBLAS versions, a fixed CPU
     (OpenBLAS picks its kernels per CPU) and a fixed ``eigh`` driver.
-    Path products ``xi @ factor.T`` run on numpy's bundled OpenBLAS, the
-    factorisations and solves on scipy's.  The ``figures`` and ``dgp``
-    commands pin both to one thread; called from elsewhere, the trajectory
-    also depends on the BLAS thread counts.  A change of any of these
-    reorders floating-point sums, which can flip an accept/reject decision
-    and send the chain down another path.
+    Layer 0's path product ``xi @ factor0.T`` runs on numpy's bundled
+    OpenBLAS; the deeper layers' path products (``dtpmv``), the
+    factorisations and the solves run on scipy's.  The ``figures`` and
+    ``dgp`` commands pin both to one thread; called from elsewhere, the
+    trajectory also depends on the BLAS thread counts.  A change of any of
+    these reorders floating-point sums.  That moves the likelihoods in
+    their last bits, and it can flip an accept/reject decision, which
+    sends the chain down another path.
     """
 
     def __init__(

@@ -484,6 +484,12 @@ def reference_tdgp_config() -> tuple[ExperimentConfig, McmcParams]:
     set to the domain length so its draws are gently varying: after the
     affine rescale they act as near-monotone warps, which the sharply
     peaked small-delta likelihood at the finest level requires.
+
+    The ball never binds, so the reference chain is, in effect,
+    untruncated.  At seeds 1-20 and 42 (one BLAS thread) it rejected 0 of
+    the 7,500 proposals of each seed.  Over 500 prior draws of the initial
+    layer on the 1024-point mesh, the discrete C^2 norm had a median of
+    about 1.6 and a maximum of about 4.3.
     """
     spec = deep.DgpSpec(
         depth=1,

@@ -10,27 +10,30 @@ where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 Every Gram matrix this module factors lives in one buffer from assembly to
-factor: it is filled in the row blocks that prediction uses
-(``_row_blocks``) and ``_ridged_cholesky`` factors it in place, so a fit
-holds one Gram-sized array and no kernel intermediate larger than a block.
-Below ``PACKED_MIN_N`` points the buffer is the whole N x N matrix
-(``_gram``) and LAPACK's lower variant factors it; from there on it holds
-the lower triangle in LAPACK's rectangular full packed (RFP) storage
-(``_packed_gram``), N(N+1)/2 numbers, which ``dpftrf`` factors and
-``dpftrs`` and ``dtfsm`` solve with.  ``kernels.gram`` stays the one-shot
-definition the assembled entries equal bit for bit.
+factor: its lower triangle in LAPACK's rectangular full packed (RFP)
+storage, N(N+1)/2 numbers (``_packed_gram``), filled in the row blocks
+that prediction uses (``_row_blocks``) and factored in place by
+``dpftrf`` (``_ridged_cholesky``); ``dpftrs`` and ``dtfsm`` solve with
+the factor.  So a fit holds half a Gram-sized array and no kernel
+intermediate larger than a block, at every N.  ``_gram`` assembles the
+whole N x N matrix only where one is needed: the eigendecomposition of
+``_path_spectral`` and the eigenvalue a SingularGramError reports.
+``kernels.gram`` stays the one-shot definition the assembled entries
+equal bit for bit.
 ``posterior_means`` predicts several fitted levels in one pass over the
 query points, evaluating each block of the cross matrix once against the
 union of the levels' designs; ``posterior_mean`` is its one-level case, so
 there is one prediction path.  At one BLAS thread every level's mean is
 bit-identical to the plain product of its own cross matrix and weights.
 
-A prior path on a mesh is ``xi @ factor.T``, for standard normal
-coefficients xi and one of two factors of the Gram matrix on the mesh; a
-(width, k) array of coefficients gives width paths.  ``_path_spectral``
-keeps the eigenpairs above the path jitter; ``deep`` draws layer 0 from
-it, whose kernel is fixed for the whole chain.  ``_path_cholesky`` factors
-the Gram matrix plus the path jitter; ``sample_prior`` and every deeper
+A prior path on a mesh is a factor of the Gram matrix on the mesh times
+standard normal coefficients xi.  ``_path_spectral`` keeps the eigenpairs
+above the path jitter in a dense (m, r) factor B, and a path is
+``xi @ B.T``; a (width, r) array of coefficients gives width paths.
+``deep`` draws layer 0 from it, whose kernel is fixed for the whole
+chain.  ``_path_cholesky`` factors the Gram matrix plus the path jitter
+and returns L in LAPACK's standard packed storage, and a path is
+``blas.dtpmv(m, L, xi, lower=1)``; ``sample_prior`` and every deeper
 layer of ``deep`` draw from it.
 """
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import ParameterError, SamplingError, SingularGramError
 from .kernels import KernelSpec, _as_points, kernel_diag, kernel_matrix
@@ -52,9 +55,6 @@ VARIANCE_CLAMP = 1e-8
 PATH_JITTER_SCALE = 1e-12
 # Cross-matrix entries per prediction block (512 KB of float64)
 PREDICT_BLOCK_ENTRIES = 2**16
-# Gram matrices of this many points and more are assembled and factored in
-# rectangular full packed storage (``_packed_gram``, ``_ridged_cholesky``)
-PACKED_MIN_N = 512
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,9 @@ class GpPosterior:
 
     ``factor`` is the lower-triangular Cholesky factor L of K + s I with
     s = noise_var + jitter, stored in the memory of the Gram buffer it was
-    factored from.  Below ``PACKED_MIN_N`` points it is a dense F-ordered
-    N x N array with a zero strict upper triangle, LAPACK's lower factor;
-    from there on it is the 1-D vector of N(N+1)/2 numbers that holds L in
+    factored from: the 1-D vector of N(N+1)/2 numbers that holds L in
     rectangular full packed storage (``_packed_gram``; LAPACK ``TRANSR='N'``,
-    ``UPLO='L'``), which ``lapack.dtfttr(N, factor, uplo='L')`` expands.
+    ``UPLO='L'``), at every N.
     ``weights`` are the solved representer coefficients and
     ``neg_log_like`` is 1/2 log det(K + s I) + 1/2 y^T (K + s I)^{-1} y.
     ``jitter`` is the value actually used; ``escalated`` records whether the
@@ -176,45 +174,28 @@ def _packed_gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     return packed.reshape(-1)
 
 
-def _flat_diagonal(matrix: np.ndarray) -> tuple:
-    """A flat, writable view of a Gram matrix or factor held full (2-D,
-    ``matrix.flat``) or packed (1-D, ``_packed_gram``), and the positions
-    of its diagonal in it."""
-    if matrix.ndim == 2:
-        return matrix.flat, slice(None, None, len(matrix) + 1)
-    n = (math.isqrt(8 * matrix.size + 1) - 1) // 2
+def _rfp_diagonal(n: int) -> tuple[slice, slice]:
+    """Positions of the diagonal in the ``_packed_gram`` vector of an N x N
+    matrix: the leading p x p block's, then the trailing q x q block's, each
+    a strided slice of the vector."""
     q = n // 2
     p = n - q
     step = 2 * q + 2
-    # the leading p x p block's diagonal, then the trailing q x q block's
-    leading = np.arange(p) * step + (q + 1 - p)
-    return matrix, np.concatenate([leading, np.arange(q) * step + (p - q) * (step - 1)])
+    return slice(q + 1 - p, None, step), slice((p - q) * (step - 1), None, step)
 
 
-def _cholesky_gram(spec: KernelSpec, points) -> np.ndarray:
-    """Gram matrix on the points in the storage ``_ridged_cholesky``
-    factors: the full ``_gram`` buffer below ``PACKED_MIN_N`` points, the
-    ``_packed_gram`` vector from there on."""
-    points = _as_points(points)
-    return _gram(spec, points) if len(points) < PACKED_MIN_N else _packed_gram(spec, points)
+def _ridged_cholesky(n: int, packed: np.ndarray, ridge: float) -> np.ndarray:
+    """Lower Cholesky factor L of ``packed + ridge I``, factored in place.
 
+    ``packed`` is the ``_packed_gram`` vector of an N x N matrix; ``dpftrf``
+    factors it, and L is held in it the same way.  Afterwards the vector
+    holds the factor, or, when the factorisation meets a non-positive pivot
+    (``LinAlgError``), a partly factored matrix.
 
-def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
-    """Lower Cholesky factor L of ``matrix + ridge I``, factored in place.
-
-    ``matrix`` comes from ``_cholesky_gram``.  A full buffer is exactly
-    symmetric and C-ordered, so its transpose is an F-ordered view of the
-    same memory, which LAPACK's lower variant factors without a copy: L is
-    F-ordered and bit-identical to the factor of the C-ordered matrix.  A
-    packed vector is factored by ``dpftrf``, and L is held in it the same
-    way.  Afterwards the buffer holds the factor, or, when the
-    factorisation meets a non-positive pivot (``LinAlgError``), a partly
-    factored matrix.
-
-    The switch is by size, not by speed, so that the TDGP chain's factors
-    (N <= 256) keep the lower variant and their last bits; ``dpftrf`` is
-    the faster of the two at every N measured.  In-place factorisations of
-    a ridged Matern-1/2 Gram matrix on random points, OpenBLAS 0.3.30
+    ``dpftrf`` runs level-3 BLAS on the blocks of the packed matrix; it
+    was at least as fast as LAPACK's lower variant on the whole matrix at
+    every N measured, and needs half its memory.  In-place factorisations
+    of a ridged Matern-1/2 Gram matrix on random points, OpenBLAS 0.3.30
     (scipy 1.17.1's bundled build) on a 2-core Xeon VM, medians of 9 runs
     (5 at N = 4096), ms:
 
@@ -224,24 +205,12 @@ def _ridged_cholesky(matrix: np.ndarray, ridge: float) -> np.ndarray:
         2        lower  0.53   2.71   14.6   74.6    436
                  packed 0.38   1.78    9.6   54.2    330
     """
-    flat, diagonal = _flat_diagonal(matrix)
-    flat[diagonal] += ridge
-    if matrix.ndim == 2:
-        return linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
-    factor, info = lapack.dpftrf(len(diagonal), matrix, uplo="L", overwrite_a=1)
+    for diagonal in _rfp_diagonal(n):
+        packed[diagonal] += ridge
+    factor, info = lapack.dpftrf(n, packed, uplo="L", overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpftrf failed with info {info}: not positive definite")
     return factor
-
-
-def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^-1 rhs for a fit's factor L, full or packed, solved in the memory
-    of the F-ordered rhs."""
-    if factor.ndim == 2:
-        return linalg.solve_triangular(
-            factor, rhs, lower=True, overwrite_b=True, check_finite=False
-        )
-    return lapack.dtfsm(1.0, factor, rhs, uplo="L", overwrite_b=1)
 
 
 def fit(spec: KernelSpec, data: TrainingData, jitter: float = DEFAULT_JITTER) -> GpPosterior:
@@ -267,7 +236,7 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
         try:
             # no name holds the buffer, so a failed one is freed before the rebuild
             factor = _ridged_cholesky(
-                _cholesky_gram(spec, data.points), data.noise_var + jitter
+                data.n, _packed_gram(spec, data.points), data.noise_var + jitter
             )
             break
         except np.linalg.LinAlgError:
@@ -283,12 +252,8 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
             "too little regularisation"
         )
 
-    if factor.ndim == 2:
-        weights = linalg.cho_solve((factor, True), data.values, check_finite=False)
-    else:
-        weights, _ = lapack.dpftrs(data.n, factor, data.values, uplo="L")
-    flat, diagonal = _flat_diagonal(factor)
-    log_det = 2.0 * float(np.sum(np.log(flat[diagonal])))
+    weights, _ = lapack.dpftrs(data.n, factor, data.values, uplo="L")
+    log_det = 2.0 * sum(float(np.sum(np.log(factor[d]))) for d in _rfp_diagonal(data.n))
     return GpPosterior(
         spec=spec,
         data=data,
@@ -410,12 +375,13 @@ def _block_rows(n_points: int) -> int:
     and the mixture and convolution figure kernels at N = 256 and 1024,
     budgets of 2**15 and 2**16 entries were the fastest of 2**14 .. 2**18,
     or within noise of it.  The same rule sizes the row blocks of Gram
-    assembly (``_gram``): that kernel's Gram matrix on 4096 random points
-    took 0.36 s in one shot and 0.19 s in these 16-row blocks (first call
-    in a fresh process, medians of 9, same VM); the one-shot build also
-    page-faults a fresh N x N array for every kernel intermediate.  From
-    ``PACKED_MIN_N`` points on, packed assembly (``_packed_gram``) walks
-    the N - N // 2 rows of its packed array in blocks of this many rows.
+    assembly, which walks the N - N // 2 rows of the packed array
+    (``_packed_gram``), or the N rows of the whole matrix (``_gram``), in
+    blocks of this many rows: that kernel's whole Gram matrix on 4096
+    random points took 0.36 s in one shot and 0.19 s in these 16-row
+    blocks (first call in a fresh process, medians of 9, same VM); the
+    one-shot build also page-faults a fresh N x N array for every kernel
+    intermediate.
     """
     return max(4, PREDICT_BLOCK_ENTRIES // n_points // 4 * 4)
 
@@ -429,7 +395,7 @@ def posterior_cov(post: GpPosterior, u, v) -> float:
     With L the factor, the subtracted term is (L^-1 k(u, U)) . (L^-1 k(v, U)).
     """
     cross = kernel_matrix(post.spec, _query_points(np.ravel([u, v])), post.data.points)
-    half = _solve_lower(post.factor, cross.T)
+    half = lapack.dtfsm(1.0, post.factor, cross.T, uplo="L", overwrite_b=1)
     prior = kernel_matrix(post.spec, u, v)[0, 0]
     value = float(prior - half[:, 0] @ half[:, 1])
     if np.array_equal(np.asarray(u, dtype=float), np.asarray(v, dtype=float)):
@@ -446,7 +412,7 @@ def posterior_var(post: GpPosterior, query) -> np.ndarray:
     query = _query_points(query)
     raw = kernel_diag(post.spec, query)
     for rows, cross in _cross_blocks(post.spec, query, post.data.points):
-        half = _solve_lower(post.factor, cross.T)
+        half = lapack.dtfsm(1.0, post.factor, cross.T, uplo="L", overwrite_b=1)
         raw[rows] -= np.sum(half**2, axis=0)
     # the most negative value decides: the clamp raises on it, or all clamp to 0
     _clamp_variance(float(np.min(raw, initial=0.0)))
@@ -462,30 +428,34 @@ def _clamp_variance(value: float) -> float:
     return max(value, 0.0)
 
 
-def _path_jitter(gram_matrix: np.ndarray) -> float:
-    """PATH_JITTER_SCALE times the largest diagonal entry of a Gram matrix
-    held full or packed."""
-    flat, diagonal = _flat_diagonal(gram_matrix)
-    return PATH_JITTER_SCALE * float(np.max(flat[diagonal]))
+def _path_jitter(*diagonals: np.ndarray) -> float:
+    """PATH_JITTER_SCALE times the largest diagonal entry of a Gram matrix,
+    whose diagonal is given in one or more runs."""
+    return PATH_JITTER_SCALE * max(float(np.max(d, initial=-np.inf)) for d in diagonals)
 
 
 def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Gram matrix on the mesh plus the path
-    jitter: a dense F-ordered array with a zero strict upper triangle.  A
-    packed factor (``PACKED_MIN_N`` mesh points and more) is expanded by
-    ``dtfttr`` for the path product."""
+    """Lower Cholesky factor L of the Gram matrix on the mesh plus the path
+    jitter, in LAPACK's standard packed storage (``UPLO='L'``: the columns
+    of the lower triangle one after another, m(m+1)/2 numbers).  A path is
+    ``blas.dtpmv(m, factor, xi, lower=1)``, the product L xi.
+
+    The Gram matrix is assembled and factored in RFP storage, as a fit's
+    is, and ``dtfttp`` rearranges the factor, so the two packed vectors
+    are the most this holds: m(m+1) numbers.
+    """
     mesh = _as_points(mesh)
-    gram_matrix = _cholesky_gram(spec, mesh)
-    path_jitter = _path_jitter(gram_matrix)
+    n = len(mesh)
+    packed = _packed_gram(spec, mesh)
+    path_jitter = _path_jitter(*(packed[d] for d in _rfp_diagonal(n)))
     try:
-        factor = _ridged_cholesky(gram_matrix, path_jitter)
+        factor = _ridged_cholesky(n, packed, path_jitter)
     except np.linalg.LinAlgError as exc:
         raise SamplingError(
             f"prior covariance on the mesh is not factorable even with "
             f"path jitter {path_jitter:.3e}"
         ) from exc
-    if factor.ndim == 1:
-        factor, _ = lapack.dtfttr(len(mesh), factor, uplo="L")
+    factor, _ = lapack.dtfttp(n, factor, uplo="L")
     return factor
 
 
@@ -503,7 +473,7 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     SamplingError when the eigensolver fails or keeps no pair.
     """
     gram_matrix = _gram(spec, mesh)
-    path_jitter = _path_jitter(gram_matrix)
+    path_jitter = _path_jitter(np.diagonal(gram_matrix))
     try:
         # the transpose is the symmetric buffer's F-ordered view: no copy
         values, vectors = linalg.eigh(
@@ -537,4 +507,5 @@ def sample_prior(spec: KernelSpec, mesh, seed: int) -> np.ndarray:
     if mesh.size == 0:
         raise ParameterError("mesh must be non-empty")
     rng = np.random.default_rng(seed)
-    return rng.standard_normal(mesh.size) @ _path_cholesky(spec, mesh).T
+    xi = rng.standard_normal(mesh.size)
+    return blas.dtpmv(mesh.size, _path_cholesky(spec, mesh), xi, lower=1)

@@ -1,6 +1,10 @@
 """Command-line interface tests: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +237,68 @@ class TestDgp:
         assert code == 0
         lines = (out / "tdgp_small.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two levels
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a real file, which the report may redirect."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    """A closed stdout ends only the console report: every file is still
+    written, the exit code is kept and nothing is raised or printed."""
+
+    @pytest.mark.parametrize("command", ["run", "figures", "dgp"])
+    def test_files_written_and_exit_kept(
+        self, tmp_path, small_config_path, small_dgp_config_path, monkeypatch, capsys, command
+    ):
+        args = {
+            "run": ["--config", str(small_config_path)],
+            "figures": ["--which", "fig_warp"],
+            "dgp": ["--config", str(small_dgp_config_path), "--burn", "5", "--iters", "5"],
+        }[command]
+        stem = {"run": "warp_small", "figures": "fig_warp", "dgp": "tdgp_small"}[command]
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        try:
+            code = main([command, *args, "--out", str(tmp_path / "out")])
+        finally:
+            monkeypatch.undo()
+            os.close(fd)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for name in [f"{stem}.csv", f"{stem}_l2.svg", "rates.csv"]:
+            assert (tmp_path / "out" / name).exists()
+
+    def test_reader_leaving_a_pipe(self, tmp_path):
+        """``figures | head -1``: the command outlives its reader."""
+        out = tmp_path / "out"
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "gpconv.cli", "figures", "--which", "fig_warp", "--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline().startswith(b"config")
+        child.stdout.close()
+        assert child.wait(timeout=120) == 0
+        assert child.stderr.read() == b""
+        child.stderr.close()
+        assert (out / "fig_warp.csv").exists() and (out / "rates.csv").exists()
 
 
 @pytest.fixture()

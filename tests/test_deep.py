@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.linalg import lapack
 
 from gpconv.analysis import discrete_norm
 from gpconv.deep import (
@@ -243,13 +244,17 @@ class TestChain:
             DgpChain(_warp_spec(truncation=trunc), _training_data(), NON_UNIFORM_MESH, 0.25, 1)
 
     def test_unfactorable_path_is_sampling_error(self, monkeypatch):
-        """Layer 0 is factored by ``eigh`` and every other path by Cholesky;
-        either failing is a SamplingError naming the path jitter."""
+        """Layer 0 is factored by ``eigh`` and every other path by the packed
+        Cholesky factorisation ``dpftrf``; either failing is a SamplingError
+        naming the path jitter."""
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
-        monkeypatch.setattr(linalg, "cholesky", failing)
+        def failing_dpftrf(n, a, **kwargs):
+            return a, 1
+
+        monkeypatch.setattr(lapack, "dpftrf", failing_dpftrf)
         monkeypatch.setattr(linalg, "eigh", failing)
         with pytest.raises(SamplingError, match="path jitter"):
             sample_dgp_prior(_warp_spec(), MESH, seed=0)
@@ -261,8 +266,8 @@ class TestChain:
         matrix does not: the sampler and the chain's start both raise the
         SamplingError they met."""
 
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
+        def failing_dpftrf(n, a, **kwargs):
+            return a, 1
 
         spec = DgpSpec(
             depth=2,
@@ -271,7 +276,7 @@ class TestChain:
             layers=(LayerSpec("warp", 2.5), LayerSpec("mixture_f", 2.5)),
             rescale_warp=True,
         )
-        monkeypatch.setattr(linalg, "cholesky", failing)
+        monkeypatch.setattr(lapack, "dpftrf", failing_dpftrf)
         with pytest.raises(SamplingError, match="path jitter"):
             sample_dgp_prior(spec, MESH, seed=0)
         with pytest.raises(SamplingError, match="path jitter"):

@@ -450,16 +450,16 @@ class TestRunDgpConvergence:
         and each level's record says so."""
         config, _ = reference_tdgp_config()
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
-        real_cholesky = gp.linalg.cholesky
+        real_dpftrf = gp.lapack.dpftrf
         real_init = deep.DgpChain.__init__
 
-        def failing_cholesky(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
+        def failing_dpftrf(n, a, **kwargs):
+            return a, 1
 
         def init_then_fail(self, *args, **kwargs):
-            monkeypatch.setattr(gp.linalg, "cholesky", real_cholesky)
+            monkeypatch.setattr(gp.lapack, "dpftrf", real_dpftrf)
             real_init(self, *args, **kwargs)
-            monkeypatch.setattr(gp.linalg, "cholesky", failing_cholesky)
+            monkeypatch.setattr(gp.lapack, "dpftrf", failing_dpftrf)
 
         monkeypatch.setattr(deep.DgpChain, "__init__", init_then_fail)
         records, _ = run_dgp_convergence(quick, McmcParams(5, 10, 0.3), seed=1)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.stats import multivariate_normal
 
 from gpconv.errors import ParameterError, SingularGramError
@@ -78,7 +79,9 @@ class TestFit:
         data = TrainingData(design.points, np.sin(2 * design.points), noise_var=1e-4)
         post = fit(MaternKernel(1.5), data, jitter=1e-12)
         reg = gram(MaternKernel(1.5), design.points) + (1e-4 + post.jitter) * np.eye(32)
-        rebuilt = post.factor @ post.factor.T
+        lower, info = lapack.dtfttr(32, post.factor, uplo="L")
+        assert info == 0
+        rebuilt = lower @ lower.T
         rel = np.linalg.norm(rebuilt - reg) / np.linalg.norm(reg)
         assert rel < 1e-10
 

@@ -2,13 +2,15 @@
 
 Assembly walks the prediction's row blocks, so every entry is computed by
 the same expressions as in the one-shot ``kernel_matrix``: the assembled
-entries and the factor must equal the one-shot results bit for bit.  From
-``PACKED_MIN_N`` points on, a fit assembles the lower triangle in LAPACK's
-rectangular full packed storage and ``dpftrf`` factors it, so the
-references there are ``dtrttf`` of the one-shot matrix and ``dpftrf`` of
-that.  The in-place factor also bounds the memory of a fit, and of
-prediction from it, to about one Gram-sized array: N x N numbers below the
-switch, N(N+1)/2 from it on.
+entries and the factor must equal the one-shot results bit for bit.  A fit
+assembles the lower triangle in LAPACK's rectangular full packed storage
+at every N and ``dpftrf`` factors it, so the references are ``dtrttf`` of
+the one-shot matrix and ``dpftrf`` of that.  The in-place factor also
+bounds the memory of a fit, and of prediction from it, to about half a
+Gram-sized array, N(N+1)/2 numbers; a path factor and its draw hold
+about one.  At small N, where the two halves of the packed layout are a
+few numbers each, every result a fit or a draw gives is checked against
+a dense oracle.
 """
 
 import json
@@ -18,14 +20,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from gpconv import gp
 from gpconv.deep import layer_kernel, sample_dgp_prior
 from gpconv.experiments import builtin_figures, config_from_dict, reference_tdgp_config
 from gpconv.errors import SingularGramError
-from gpconv.gp import TrainingData, fit, posterior_cov, posterior_mean, posterior_var
-from gpconv.kernels import kernel_matrix
+from gpconv.gp import (
+    TrainingData,
+    fit,
+    posterior_cov,
+    posterior_mean,
+    posterior_var,
+    sample_prior,
+)
+from gpconv.kernels import MaternKernel, kernel_matrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -43,13 +52,15 @@ def _tdgp_warp_layer_kernel():
 KERNELS = {c.id: c.kernel for c in builtin_figures()}
 KERNELS["tdgp_warp_layer"] = _tdgp_warp_layer_kernel()
 
-# 300 points: blocks of 216 and 84 rows, factored by the lower variant.
-# Packed from the switch on, in N - N // 2 rows of the packed array, whose
-# layout differs for even and odd N: 576 points, 288 rows in blocks of 112,
-# 112 and 64; 1081 points, 541 rows in blocks of 60, and the lone last row
-# joins the block before.
+# Packed in N - N // 2 rows of the packed array, whose layout differs for
+# even and odd N: 300 points, 150 rows in one block; 576 points, 288 rows
+# in blocks of 112, 112 and 64; 1081 points, 541 rows in blocks of 60, and
+# the lone last row joins the block before.  The whole matrix on 300
+# points is filled in blocks of 216 and 84 rows.
 SIZES = (300, 576, 1081)
-PACKED_SIZES = tuple(n for n in SIZES if n >= gp.PACKED_MIN_N)
+# every N up to 5, and both parities around powers of two up to the TDGP
+# chain's largest level
+SMALL_SIZES = (1, 2, 3, 4, 5, 16, 63, 64, 255, 256)
 
 
 def _points(n):
@@ -57,15 +68,11 @@ def _points(n):
 
 
 def test_sizes_cover_a_short_last_block_and_a_lone_last_row():
-    assert gp._block_rows(300) == 216
+    assert gp._block_rows(300) == 216 and 300 % 216 == 84
     assert gp._block_rows(1081) == 60 and 1081 % 60 == 1
     # the packed rows, N - N // 2 of them, of an even and an odd N
     assert gp._block_rows(576) == 112 and 288 % 112 == 64
     assert 541 % 60 == 1
-
-
-def test_sizes_straddle_the_variant_switch():
-    assert 300 < gp.PACKED_MIN_N <= 576
 
 
 def _ridged(spec, pts, ridge):
@@ -84,33 +91,22 @@ class TestBlockwiseAssembly:
 
     def test_assembled_lower_triangle_is_the_one_shot_gram_matrix(self, name, n):
         spec, pts = KERNELS[name], _points(n)
-        buffer = gp._cholesky_gram(spec, pts)
-        one_shot = kernel_matrix(spec, pts)
-        if n < gp.PACKED_MIN_N:
-            assert buffer.flags.c_contiguous
-            np.testing.assert_array_equal(buffer, one_shot)
-        else:
-            expected, info = lapack.dtrttf(one_shot, uplo="L")
-            assert info == 0 and buffer.shape == (n * (n + 1) // 2,)
-            np.testing.assert_array_equal(buffer, expected)
+        buffer = gp._packed_gram(spec, pts)
+        expected, info = lapack.dtrttf(kernel_matrix(spec, pts), uplo="L")
+        assert info == 0 and buffer.shape == (n * (n + 1) // 2,)
+        np.testing.assert_array_equal(buffer, expected)
 
     def test_factor_is_the_one_shot_cholesky_factor(self, name, n):
         spec, pts = KERNELS[name], _points(n)
         data = TrainingData(pts, np.sin(2.0 * pts), noise_var=1e-6)
         post = gp._condition(spec, data, (1e-12,))
-        ridged = _ridged(spec, pts, data.noise_var + post.jitter)
-        if n < gp.PACKED_MIN_N:
-            expected = linalg.cholesky(ridged, lower=True)
-            assert post.factor.flags.f_contiguous
-            assert not np.triu(post.factor, 1).any()
-        else:
-            packed, _ = lapack.dtrttf(ridged, uplo="L")
-            expected, info = lapack.dpftrf(n, packed, uplo="L")
-            assert info == 0
+        packed, _ = lapack.dtrttf(_ridged(spec, pts, data.noise_var + post.jitter), uplo="L")
+        expected, info = lapack.dpftrf(n, packed, uplo="L")
+        assert info == 0
         np.testing.assert_array_equal(post.factor, expected)
 
 
-@pytest.mark.parametrize("n", PACKED_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", ["fig_conv", "fig_warp", "tdgp_warp_layer"])
 def test_packed_solves_match_the_dense_factor(name, n):
     """Posterior variance and covariance solve with the packed factor as
@@ -132,24 +128,87 @@ def test_packed_solves_match_the_dense_factor(name, n):
         assert subtracted == pytest.approx(half[:, i] @ half[:, j], rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("n", PACKED_SIZES)
-def test_path_factor_is_expanded_lower_triangular(n):
-    """A packed path factor is expanded to a dense lower triangle: its
-    strict upper triangle is zero and L L^T is the jittered Gram matrix."""
+@pytest.mark.parametrize("n", SIZES)
+def test_path_factor_is_packed_lower_triangular(n):
+    """A path factor is L in standard packed storage: L L^T is the jittered
+    Gram matrix, and a path is L xi."""
     spec, mesh = KERNELS["tdgp_warp_layer"], np.linspace(0.0, 5.0, n)
     factor = gp._path_cholesky(spec, mesh)
-    assert factor.shape == (n, n) and factor.flags.f_contiguous
-    assert not np.triu(factor, 1).any()
+    assert factor.shape == (n * (n + 1) // 2,)
+    lower, info = lapack.dtpttr(n, factor, uplo="L")
+    assert info == 0 and not np.triu(lower, 1).any()
     gram_matrix = kernel_matrix(spec, mesh)
     ridged = gram_matrix + gp.PATH_JITTER_SCALE * np.max(np.diag(gram_matrix)) * np.eye(n)
-    rebuilt = factor @ factor.T
+    rebuilt = lower @ lower.T
     assert np.linalg.norm(rebuilt - ridged) <= 1e-12 * np.linalg.norm(ridged)
+    xi = np.random.default_rng(n).standard_normal(n)
+    np.testing.assert_allclose(blas.dtpmv(n, factor, xi, lower=1), lower @ xi, rtol=0, atol=1e-12)
+
+
+def test_path_factor_and_draw_hold_one_gram_sized_array():
+    """The packed Gram matrix is factored in place and rearranged into the
+    path factor: the two packed vectors, m(m+1) numbers, are the peak."""
+    m = 1024
+    spec, mesh = MaternKernel(2.5, 0.5), np.linspace(0.0, 5.0, m)
+    xi = np.random.default_rng(0).standard_normal(m)
+    tracemalloc.start()
+    try:
+        blas.dtpmv(m, gp._path_cholesky(spec, mesh), xi, lower=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.01 * 8 * m * m
+
+
+@pytest.mark.parametrize("n", SMALL_SIZES)
+def test_rfp_diagonal_holds_the_diagonal(n):
+    packed, info = lapack.dtrttf(np.diag(np.arange(1.0, n + 1)), uplo="L")
+    assert info == 0
+    leading, trailing = gp._rfp_diagonal(n)
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([packed[leading], packed[trailing]])), np.arange(1.0, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", SMALL_SIZES)
+def test_small_fits_and_draws_match_a_dense_oracle(n):
+    """Weights, likelihood, variance and a prior path from the packed
+    storage agree with the dense Cholesky factor's to roundoff: the worst
+    of these N, the Gram matrix's condition number is about 1e6, and the
+    errors are 30 or more times smaller than the tolerances."""
+    spec = MaternKernel(1.5, 0.8)
+    pts = _points(n)
+    data = TrainingData(pts, np.sin(2.0 * pts), noise_var=1e-4)
+    post = fit(spec, data)
+    dense = np.linalg.cholesky(_ridged(spec, pts, data.noise_var + post.jitter))
+    weights = linalg.cho_solve((dense, True), data.values)
+    np.testing.assert_allclose(post.weights, weights, rtol=0, atol=1e-10 * np.max(np.abs(weights)))
+    neg_log_like = np.sum(np.log(np.diag(dense))) + 0.5 * data.values @ weights
+    assert post.neg_log_like == pytest.approx(neg_log_like, rel=1e-12, abs=1e-12)
+
+    query = np.linspace(0.0, 5.0, 23)
+    half = linalg.solve_triangular(dense, kernel_matrix(spec, query, pts).T, lower=True)
+    np.testing.assert_allclose(
+        gp.kernel_diag(spec, query) - posterior_var(post, query),
+        np.sum(half**2, axis=0),
+        rtol=0,
+        atol=1e-13,
+    )
+
+    mesh = np.linspace(0.0, 5.0, n)
+    gram_matrix = kernel_matrix(spec, mesh)
+    path_jitter = gp.PATH_JITTER_SCALE * np.max(np.diag(gram_matrix))
+    path_factor = np.linalg.cholesky(gram_matrix + path_jitter * np.eye(n))
+    xi = np.random.default_rng(11).standard_normal(n)
+    np.testing.assert_allclose(
+        sample_prior(spec, mesh, seed=11), path_factor @ xi, rtol=0, atol=1e-10
+    )
 
 
 def test_singular_gram_error_reads_the_assembled_triangle(monkeypatch):
-    """Above the switch the packed factorisation fails; the reported
-    eigenvalue is that of the whole ridged matrix on unsorted points."""
-    n = gp.PACKED_MIN_N + 88
+    """The packed factorisation fails; the reported eigenvalue is that of
+    the whole ridged matrix on unsorted points."""
+    n = 600
     spec = KERNELS["fig_warp"]
     pts = np.random.default_rng(7).uniform(0.0, 5.0, n)
     data = TrainingData(pts, np.sin(2.0 * pts))
@@ -190,7 +249,6 @@ def test_fit_holds_about_one_gram_sized_array():
     factor: no retry copy and no dense copy for LAPACK, and neither the
     solve nor prediction copies it."""
     n = 1024
-    assert n >= gp.PACKED_MIN_N
     assert _fit_and_predict_peak(n) < 1.0 * 8 * n * n
 
 
