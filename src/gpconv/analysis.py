@@ -183,7 +183,8 @@ def fit_rate(h_values, errors, tail: int) -> RateFit:
     """OLS fit of log(error) on log(h) over the ``tail`` smallest h values.
 
     The slope is the convergence rate in h.  Callers should floor errors at
-    1e-16 beforehand; non-positive entries are rejected here.
+    1e-16 beforehand; entries that are not positive and finite are
+    rejected here.
     """
     h_values = np.asarray(h_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -191,10 +192,10 @@ def fit_rate(h_values, errors, tail: int) -> RateFit:
         raise ParameterError("h_values and errors must be 1-D arrays of equal length")
     if tail < 2 or tail > len(h_values):
         raise ParameterError(f"tail must be between 2 and {len(h_values)}, got {tail}")
-    if np.any(h_values <= 0):
-        raise ParameterError("fill distances must be positive")
-    if np.any(errors <= 0):
-        raise ParameterError("errors must be positive (floor them at 1e-16 first)")
+    if not np.all((h_values > 0) & (h_values < math.inf)):
+        raise ParameterError("fill distances must be positive and finite")
+    if not np.all((errors > 0) & (errors < math.inf)):
+        raise ParameterError("errors must be positive and finite (floor them at 1e-16 first)")
 
     keep = np.argsort(h_values)[:tail]
     log_h = np.log(h_values[keep])

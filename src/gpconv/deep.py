@@ -201,9 +201,10 @@ def _on_mesh(spec: DgpSpec, mesh) -> tuple[np.ndarray, float | None, np.ndarray]
     """The hierarchy's setup on a mesh: the sorted 1-D mesh, its spacing if
     truncated (the discrete norms need a uniform mesh of at least order + 2
     points, ``_mesh_spacing``; None for an untruncated hierarchy) and the
-    rank-r spectral factor of the f0 Gram matrix (``_path_spectral``)."""
+    rank-r spectral factor of the f0 Gram matrix (``_path_spectral``, which
+    rejects a non-finite mesh point)."""
     mesh = np.asarray(mesh, dtype=float).ravel()
-    if mesh.size < 2 or np.any(np.diff(mesh) <= 0):
+    if mesh.size < 2 or not np.all(np.diff(mesh) > 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
     trunc = spec.layers[-1].truncation
     spacing = None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)

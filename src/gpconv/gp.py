@@ -9,17 +9,18 @@ k, the posterior is the Gaussian process with
 where K is the Gram matrix on U.  ``_condition``, the one conditioning path
 (``fit`` and every pCN step of ``deep.DgpChain``), factorises the regularised
 Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
-Every Gram matrix this module factors lives in one buffer from assembly to
-factor: its lower triangle in LAPACK's rectangular full packed (RFP)
-storage, N(N+1)/2 numbers (``_packed_gram``), filled in the row blocks
-that prediction uses (``_row_blocks``) and factored in place by
-``dpftrf`` (``_ridged_cholesky``); ``dpftrs`` and ``dtfsm`` solve with
-the factor.  So a fit holds half a Gram-sized array and no kernel
-intermediate larger than a block, at every N.  ``_gram`` assembles the
-whole N x N matrix only where one is needed: the eigendecomposition of
-``_path_spectral`` and the eigenvalue a SingularGramError reports.
-``kernels.gram`` stays the one-shot definition the assembled entries
-equal bit for bit.
+Every Gram matrix this module builds is assembled one way: its lower
+triangle in LAPACK's rectangular full packed (RFP) storage, N(N+1)/2
+numbers (``_packed_gram``), filled in the row blocks that prediction uses
+(``_row_blocks``).  A fit or a Cholesky path factor keeps it in that one
+buffer from assembly to factor: ``dpftrf`` factors it in place
+(``_ridged_cholesky``), and ``dpftrs`` and ``dtfsm`` solve with the
+factor.  So a fit holds half a Gram-sized array and no kernel intermediate
+larger than a block, at every N.  Where a whole N x N matrix is needed,
+for the eigendecomposition of ``_path_spectral`` and the eigenvalue a
+SingularGramError reports, ``dtfttr`` expands the packed lower triangle
+into one.  ``kernels.gram`` stays the one-shot definition the assembled
+entries equal bit for bit.
 ``posterior_means`` predicts several fitted levels in one pass over the
 query points, evaluating each block of the cross matrix once against the
 union of the levels' designs; ``posterior_mean`` is its one-level case, so
@@ -113,27 +114,6 @@ class GpPosterior:
     weights: np.ndarray = field(repr=False)
     neg_log_like: float
     escalated: bool = False
-
-
-def _gram(spec: KernelSpec, points) -> np.ndarray:
-    """Gram matrix on the points in one C-ordered N x N buffer, filled in the
-    row blocks ``_row_blocks(N, N)``; a single block is the buffer itself.
-
-    An entry depends only on its own pair of points, so every entry equals
-    that of ``kernel_matrix(spec, points)`` bit for bit and the buffer is
-    exactly symmetric.
-    """
-    points = _as_points(points)
-    n = len(points)
-    buffer = None
-    for rows in _row_blocks(n, n):
-        block = kernel_matrix(spec, points[rows], points)
-        if len(block) == n:
-            return block
-        if buffer is None:
-            buffer = np.empty((n, n))
-        buffer[rows] = block
-    return buffer
 
 
 def _packed_gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -231,7 +211,8 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
     for each jitter in turn, then factor, solve and score at the first that
     factors.  The factorisation overwrites the Gram matrix, so an escalation
     rebuilds it; if no jitter factors, SingularGramError names the last one
-    and the smallest eigenvalue of the rebuilt, ridged matrix."""
+    and the smallest eigenvalue of the rebuilt, ridged matrix, whose lower
+    triangle ``dtfttr`` expands from the packed one."""
     for attempt, jitter in enumerate(jitters):
         try:
             # no name holds the buffer, so a failed one is freed before the rebuild
@@ -242,8 +223,11 @@ def _condition(spec: KernelSpec, data: TrainingData, jitters: tuple[float, ...])
         except np.linalg.LinAlgError:
             pass
     else:
-        regularised = _gram(spec, data.points)
-        regularised.flat[:: data.n + 1] += data.noise_var + jitter
+        packed = _packed_gram(spec, data.points)
+        for diagonal in _rfp_diagonal(data.n):
+            packed[diagonal] += data.noise_var + jitter
+        regularised, _ = lapack.dtfttr(data.n, packed, uplo="L")
+        # eigvalsh reads the lower triangle, the one dtfttr fills
         smallest = float(np.linalg.eigvalsh(regularised)[0])
         raise SingularGramError(
             f"Gram matrix is numerically singular: Cholesky met a "
@@ -295,7 +279,7 @@ def posterior_means(spec: KernelSpec, levels, query) -> np.ndarray:
     each product by its height, and the last bits can differ from the
     unblocked product.
     """
-    query = _query_points(query)
+    query = _finite_points(query, "query")
     union, columns = _union_columns([_as_points(points) for points, _ in levels])
     means = np.empty((len(levels), len(query)))
     for rows, cross in _cross_blocks(spec, query, union):
@@ -335,12 +319,13 @@ def _union_columns(point_sets: list[np.ndarray]) -> tuple[np.ndarray, list]:
     return stacked[firsts], columns
 
 
-def _query_points(query) -> np.ndarray:
-    """The query as 1-D points; a non-finite point is a ParameterError."""
-    query = _as_points(query)
-    if not np.all(np.isfinite(query)):
-        raise ParameterError("query points must be finite")
-    return query
+def _finite_points(points, what: str) -> np.ndarray:
+    """The points as a 1-D array; a non-finite point is a ParameterError
+    that calls them ``what`` points."""
+    points = _as_points(points)
+    if not np.all(np.isfinite(points)):
+        raise ParameterError(f"{what} points must be finite")
+    return points
 
 
 def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
@@ -374,10 +359,10 @@ def _block_rows(n_points: int) -> int:
     blocks and 0.11 s in the 16-row blocks this rule gives.  For that kernel
     and the mixture and convolution figure kernels at N = 256 and 1024,
     budgets of 2**15 and 2**16 entries were the fastest of 2**14 .. 2**18,
-    or within noise of it.  The same rule sizes the row blocks of Gram
-    assembly, which walks the N - N // 2 rows of the packed array
-    (``_packed_gram``), or the N rows of the whole matrix (``_gram``), in
-    blocks of this many rows: that kernel's whole Gram matrix on 4096
+    or within noise of it.  The same rule sizes the row blocks of the one
+    Gram assembly, which walks the N - N // 2 rows of the packed array
+    (``_packed_gram``) in blocks of this many rows.  It was measured on the
+    whole N x N matrix, walked by rows: that kernel's Gram matrix on 4096
     random points took 0.36 s in one shot and 0.19 s in these 16-row
     blocks (first call in a fresh process, medians of 9, same VM); the
     one-shot build also page-faults a fresh N x N array for every kernel
@@ -394,7 +379,7 @@ def posterior_cov(post: GpPosterior, u, v) -> float:
     since that signals real cancellation trouble rather than roundoff.
     With L the factor, the subtracted term is (L^-1 k(u, U)) . (L^-1 k(v, U)).
     """
-    cross = kernel_matrix(post.spec, _query_points(np.ravel([u, v])), post.data.points)
+    cross = kernel_matrix(post.spec, _finite_points(np.ravel([u, v]), "query"), post.data.points)
     half = lapack.dtfsm(1.0, post.factor, cross.T, uplo="L", overwrite_b=1)
     prior = kernel_matrix(post.spec, u, v)[0, 0]
     value = float(prior - half[:, 0] @ half[:, 1])
@@ -409,7 +394,7 @@ def posterior_var(post: GpPosterior, query) -> np.ndarray:
     Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over the
     prediction's ``_cross_blocks``, so no query-sized cross matrix is held.
     """
-    query = _query_points(query)
+    query = _finite_points(query, "query")
     raw = kernel_diag(post.spec, query)
     for rows, cross in _cross_blocks(post.spec, query, post.data.points):
         half = lapack.dtfsm(1.0, post.factor, cross.T, uplo="L", overwrite_b=1)
@@ -428,10 +413,15 @@ def _clamp_variance(value: float) -> float:
     return max(value, 0.0)
 
 
-def _path_jitter(*diagonals: np.ndarray) -> float:
-    """PATH_JITTER_SCALE times the largest diagonal entry of a Gram matrix,
-    whose diagonal is given in one or more runs."""
-    return PATH_JITTER_SCALE * max(float(np.max(d, initial=-np.inf)) for d in diagonals)
+def _path_gram(spec: KernelSpec, mesh) -> tuple[int, np.ndarray, float]:
+    """The size m of the mesh, the Gram matrix on it in ``_packed_gram``
+    storage and the path jitter: PATH_JITTER_SCALE times the matrix's
+    largest diagonal entry.  A non-finite mesh point is a ParameterError."""
+    mesh = _finite_points(mesh, "mesh")
+    n = len(mesh)
+    packed = _packed_gram(spec, mesh)
+    largest = max(float(np.max(packed[d], initial=-np.inf)) for d in _rfp_diagonal(n))
+    return n, packed, PATH_JITTER_SCALE * largest
 
 
 def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
@@ -444,10 +434,7 @@ def _path_cholesky(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     is, and ``dtfttp`` rearranges the factor, so the two packed vectors
     are the most this holds: m(m+1) numbers.
     """
-    mesh = _as_points(mesh)
-    n = len(mesh)
-    packed = _packed_gram(spec, mesh)
-    path_jitter = _path_jitter(*(packed[d] for d in _rfp_diagonal(n)))
+    n, packed, path_jitter = _path_gram(spec, mesh)
     try:
         factor = _ridged_cholesky(n, packed, path_jitter)
     except np.linalg.LinAlgError as exc:
@@ -471,13 +458,20 @@ def _path_spectral(spec: KernelSpec, mesh: np.ndarray) -> np.ndarray:
     the last bits and in which eigenvalues near the jitter they keep
     (``evd`` keeps 72 pairs of that matrix, ``evr`` 73).  Raises
     SamplingError when the eigensolver fails or keeps no pair.
+
+    K is assembled in packed storage, as every Gram matrix is, and
+    ``dtfttr`` expands its lower triangle into an F-ordered m x m array
+    for ``eigh``; ``evr`` reads that triangle only, whose entries equal
+    ``kernel_matrix(spec, mesh)`` bit for bit.  The packed vector is freed
+    before the eigensolver runs.
     """
-    gram_matrix = _gram(spec, mesh)
-    path_jitter = _path_jitter(np.diagonal(gram_matrix))
+    n, packed, path_jitter = _path_gram(spec, mesh)
+    gram_matrix, _ = lapack.dtfttr(n, packed, uplo="L")
+    del packed
     try:
-        # the transpose is the symmetric buffer's F-ordered view: no copy
         values, vectors = linalg.eigh(
-            gram_matrix.T,
+            gram_matrix,
+            lower=True,
             subset_by_value=(path_jitter, np.inf),
             driver="evr",
             overwrite_a=True,
@@ -501,7 +495,8 @@ def sample_prior(spec: KernelSpec, mesh, seed: int) -> np.ndarray:
     """One zero-mean prior path on the mesh; deterministic in (spec, mesh, seed).
 
     The Gram matrix gets a path jitter of 1e-12 times its largest diagonal
-    entry before factorisation.
+    entry before factorisation.  An empty mesh or a non-finite mesh point
+    is a ParameterError.
     """
     mesh = np.asarray(mesh, dtype=float)
     if mesh.size == 0:

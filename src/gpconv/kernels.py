@@ -234,8 +234,8 @@ def matern_eval(nu: float, lam: float, sigma_sq: float, r: float) -> float:
     works in log space from ``special.kve``, where they over- or underflow.
     """
     spec = GaussianKernel(lam, sigma_sq) if nu == math.inf else MaternKernel(nu, lam, sigma_sq)
-    if r < 0:
-        raise ParameterError(f"distance must be non-negative, got {r}")
+    if not 0 <= r < math.inf:
+        raise ParameterError(f"distance must be non-negative and finite, got {r}")
     return float(_stationary_profile(spec, np.asarray(r, dtype=float)))
 
 

@@ -2,15 +2,16 @@
 
 Assembly walks the prediction's row blocks, so every entry is computed by
 the same expressions as in the one-shot ``kernel_matrix``: the assembled
-entries and the factor must equal the one-shot results bit for bit.  A fit
-assembles the lower triangle in LAPACK's rectangular full packed storage
-at every N and ``dpftrf`` factors it, so the references are ``dtrttf`` of
-the one-shot matrix and ``dpftrf`` of that.  The in-place factor also
-bounds the memory of a fit, and of prediction from it, to about half a
-Gram-sized array, N(N+1)/2 numbers; a path factor and its draw hold
-about one.  At small N, where the two halves of the packed layout are a
-few numbers each, every result a fit or a draw gives is checked against
-a dense oracle.
+entries and the factor must equal the one-shot results bit for bit.  Every
+Gram matrix is assembled as its lower triangle in LAPACK's rectangular
+full packed storage and a fit's is factored by ``dpftrf``, so the
+references are ``dtrttf`` of the one-shot matrix and ``dpftrf`` of that;
+layer 0's spectral path factor must be the ``evr`` eigenpairs of the
+one-shot matrix.  The in-place factor also bounds the memory of a fit,
+and of prediction from it, to about half a Gram-sized array, N(N+1)/2
+numbers; a path factor and its draw hold about one.  At small N, where
+the two halves of the packed layout are a few numbers each, every result
+a fit or a draw gives is checked against a dense oracle.
 """
 
 import json
@@ -55,8 +56,8 @@ KERNELS["tdgp_warp_layer"] = _tdgp_warp_layer_kernel()
 # Packed in N - N // 2 rows of the packed array, whose layout differs for
 # even and odd N: 300 points, 150 rows in one block; 576 points, 288 rows
 # in blocks of 112, 112 and 64; 1081 points, 541 rows in blocks of 60, and
-# the lone last row joins the block before.  The whole matrix on 300
-# points is filled in blocks of 216 and 84 rows.
+# the lone last row joins the block before.  A prediction against 300
+# points walks its query in blocks of 216 rows.
 SIZES = (300, 576, 1081)
 # every N up to 5, and both parities around powers of two up to the TDGP
 # chain's largest level
@@ -82,13 +83,6 @@ def _ridged(spec, pts, ridge):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(KERNELS))
 class TestBlockwiseAssembly:
-    def test_buffer_is_the_one_shot_gram_matrix(self, name, n):
-        spec, pts = KERNELS[name], _points(n)
-        buffer = gp._gram(spec, pts)
-        assert buffer.flags.c_contiguous
-        np.testing.assert_array_equal(buffer, kernel_matrix(spec, pts))
-        np.testing.assert_array_equal(buffer, buffer.T)
-
     def test_assembled_lower_triangle_is_the_one_shot_gram_matrix(self, name, n):
         spec, pts = KERNELS[name], _points(n)
         buffer = gp._packed_gram(spec, pts)
@@ -126,6 +120,23 @@ def test_packed_solves_match_the_dense_factor(name, n):
     for i, j in [(3, 11), (20, 20), (36, 0)]:
         subtracted = prior[i, j] - posterior_cov(post, query[i], query[j])
         assert subtracted == pytest.approx(half[:, i] @ half[:, j], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("m", [1024, 1081])
+def test_spectral_path_factor_is_the_one_shot_eigendecomposition(m):
+    """Layer 0's factor, from the packed Gram matrix expanded for ``evr``,
+    is bit for bit the eigenpairs above the path jitter of the one-shot
+    Gram matrix, scaled by sqrt(s): on the reference layer-0 mesh (even m)
+    and on an odd mesh, the two RFP layouts."""
+    config, _ = reference_tdgp_config()
+    spec = config.kernel.layer0_kernel()
+    mesh = np.linspace(*config.domain, m)
+    gram_matrix = kernel_matrix(spec, mesh)
+    path_jitter = gp.PATH_JITTER_SCALE * np.max(np.diag(gram_matrix))
+    values, vectors = linalg.eigh(
+        gram_matrix, subset_by_value=(path_jitter, np.inf), driver="evr"
+    )
+    np.testing.assert_array_equal(gp._path_spectral(spec, mesh), vectors * np.sqrt(values))
 
 
 @pytest.mark.parametrize("n", SIZES)
