@@ -83,6 +83,15 @@ def _ridged(spec, pts, ridge):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", sorted(KERNELS))
 class TestBlockwiseAssembly:
+    def test_buffer_is_the_one_shot_gram_matrix(self, name, n):
+        """The m x m buffer ``eigh`` reads, ``dtfttr`` of the packed Gram
+        matrix as ``_path_spectral`` and the SingularGramError report
+        expand it, holds the one-shot matrix in its lower triangle."""
+        spec, pts = KERNELS[name], _points(n)
+        buffer, info = lapack.dtfttr(n, gp._packed_gram(spec, pts), uplo="L")
+        assert info == 0 and buffer.shape == (n, n) and buffer.flags.f_contiguous
+        np.testing.assert_array_equal(np.tril(buffer), np.tril(kernel_matrix(spec, pts)))
+
     def test_assembled_lower_triangle_is_the_one_shot_gram_matrix(self, name, n):
         spec, pts = KERNELS[name], _points(n)
         buffer = gp._packed_gram(spec, pts)
