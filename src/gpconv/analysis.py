@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError, ParameterError
+from .functions import scalar_problem
 
 ERROR_FLOOR = 1e-16
 
@@ -95,8 +96,8 @@ def uniform_design(domain: tuple[float, float], n: int) -> DesignSet:
     dominating the error at fine levels.
     """
     a, b = domain
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    if scalar_problem(n, int) or n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
     return DesignSet(points=a + np.arange(1, n + 1) * (b - a) / n, domain=(float(a), float(b)))
 
 
@@ -137,8 +138,8 @@ def discrete_norm(values, mesh, kind: str, order: int) -> float:
     squared derivatives up to ``order``; ``holder_discrete`` sums the max
     absolute derivatives (integer-order C^p norm, no fractional seminorm).
     """
-    if order < 0:
-        raise ParameterError(f"order must be non-negative, got {order}")
+    if scalar_problem(order, int) or order < 0:
+        raise ParameterError(f"order must be a non-negative integer, got {order!r}")
     mesh = np.asarray(mesh, dtype=float)
     values = np.asarray(values, dtype=float)
     if values.shape != mesh.shape:
@@ -190,8 +191,8 @@ def fit_rate(h_values, errors, tail: int) -> RateFit:
     errors = np.asarray(errors, dtype=float)
     if h_values.shape != errors.shape or h_values.ndim != 1:
         raise ParameterError("h_values and errors must be 1-D arrays of equal length")
-    if tail < 2 or tail > len(h_values):
-        raise ParameterError(f"tail must be between 2 and {len(h_values)}, got {tail}")
+    if scalar_problem(tail, int) or not 2 <= tail <= len(h_values):
+        raise ParameterError(f"tail must be an integer from 2 to {len(h_values)}, got {tail!r}")
     if not np.all((h_values > 0) & (h_values < math.inf)):
         raise ParameterError("fill distances must be positive and finite")
     if not np.all((errors > 0) & (errors < math.inf)):
@@ -227,8 +228,8 @@ def matern_equivalence_constants(
     """
     if not nu > 0 or math.isinf(nu):
         raise ParameterError(f"nu must be positive and finite, got {nu}")
-    if lam <= 0 or sigma_sq <= 0 or d < 1:
-        raise ParameterError("lam and sigma_sq must be positive and d >= 1")
+    if not (0 < lam < math.inf and 0 < sigma_sq < math.inf) or d < 1:
+        raise ParameterError("lam and sigma_sq must be positive and finite and d >= 1")
     core = (
         math.sqrt(sigma_sq)
         * math.exp(0.5 * (math.lgamma(nu + d / 2.0) - math.lgamma(nu)))

@@ -26,17 +26,19 @@ import math
 import numpy as np
 from scipy import special
 
+from .errors import ParameterError
+
 _SMALL_ARGUMENT = 40.0
 _KVE_MIN = 1e3 * np.finfo(float).tiny
 
 
 def log_bessel_k(nu: float, x) -> np.ndarray:
     """log K_nu(x) for nu > 0, elementwise over x > 0 (a 0-d x gives a scalar)."""
-    if nu <= 0:
-        raise ValueError(f"order must be positive, got nu={nu}")
+    if not 0 < nu < math.inf:
+        raise ParameterError(f"order must be positive and finite, got nu={nu}")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("argument must be strictly positive")
+    if not np.all((x > 0) & (x < math.inf)):
+        raise ParameterError("argument must be positive and finite")
     flat = np.ravel(x)
     log_2_x = math.log(2.0) - np.log(flat)
     out = math.lgamma(nu) - math.log(2.0) + nu * log_2_x

@@ -195,7 +195,7 @@ def cmd_figures(args) -> int:
 
 def cmd_dgp(args) -> int:
     config = _load_config(args.config)
-    mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters, beta=args.beta)
+    mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters)
     records, fits = experiments.run_dgp_convergence(config, mcmc, args.seed)
     _report(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))
     _finish_study(Path(args.out), config, records, fits)
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dgp.add_argument("--config", required=True, help="path to the config JSON")
     p_dgp.add_argument("--burn", type=int, default=mcmc.n_burn)
     p_dgp.add_argument("--iters", type=int, default=mcmc.n_iter)
-    p_dgp.add_argument("--beta", type=float, default=mcmc.beta)
     p_dgp.add_argument("--out", required=True, help="output directory")
     p_dgp.set_defaults(func=cmd_dgp)
     for command in (p_run, p_fig, p_dgp):

@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     TruncationError,
 )
-from .functions import FunctionHandle, piecewise_linear
+from .functions import FunctionHandle, piecewise_linear, scalar_problem
 from .gp import (
     TrainingData,
     _condition,
@@ -50,16 +50,18 @@ from .gp import (
 )
 from .kernels import KernelSpec, MaternKernel, MixtureKernel, WarpKernel
 
+TUNE_START = 0.25
 TUNE_WINDOW = 50
 TUNE_LOW = 0.15
 TUNE_HIGH = 0.40
+MAX_PRIOR_DRAWS = 1000
 
 
 @dataclass(frozen=True)
 class Truncation:
     """Norm-ball constraint on the layer feeding the final kernel.
 
-    ``max_rejections`` bounds the prior draws of one ``sample_dgp_prior``
+    MAX_PRIOR_DRAWS bounds the prior draws of one ``sample_dgp_prior``
     call and of a chain's start; a chain's steps have no budget, as each
     rejected proposal only keeps the current state.
     """
@@ -67,17 +69,12 @@ class Truncation:
     norm_kind: str  # "holder_discrete" or "sobolev_discrete"
     order: int
     radius: float
-    max_rejections: int = 1000
 
     def __post_init__(self):
         if self.norm_kind not in ("holder_discrete", "sobolev_discrete"):
             raise ParameterError(f"unknown truncation norm {self.norm_kind!r}")
-        if not (
-            self.order >= 0 and 0 < self.radius < math.inf and self.max_rejections >= 1
-        ):
-            raise ParameterError(
-                "truncation needs order >= 0, a finite radius > 0, max_rejections >= 1"
-            )
+        if scalar_problem(self.order, int) or not (self.order >= 0 and 0 < self.radius < math.inf):
+            raise ParameterError("truncation needs an integer order >= 0 and a finite radius > 0")
 
     def admits(self, values: np.ndarray, spacing: float) -> bool:
         """Whether the layer, or each row of a (width, m) layer, is in the ball.
@@ -133,12 +130,12 @@ class DgpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.depth < 1:
-            raise ParameterError("depth must be at least 1")
+        for name in ("depth", "width"):
+            value = getattr(self, name)
+            if scalar_problem(value, int) or value < 1:
+                raise ParameterError(f"{name} must be at least 1 and integral, got {value!r}")
         if len(self.layers) != self.depth:
             raise ParameterError(f"need {self.depth} layer specs, got {len(self.layers)}")
-        if self.width < 1:
-            raise ParameterError("width must be at least 1")
         if self.width > 1 and (self.depth != 1 or self.layers[0].construction != "mixture_f"):
             raise ParameterError("width > 1 requires depth 1 with a mixture_f construction")
         for layer in self.layers[:-1]:
@@ -243,11 +240,10 @@ def _prior_state(
     The coefficients are standard normal: (width, r) or (r,) for f0, whose
     factor has r columns, then (m,) for each deeper hidden layer.  With a
     truncation the whole state is redrawn until the ball admits its
-    constrained layer, up to max_rejections draws; without one there is a
+    constrained layer, up to MAX_PRIOR_DRAWS draws; without one there is a
     single draw.
     """
-    trunc = spec.layers[-1].truncation
-    attempts = trunc.max_rejections if trunc is not None else 1
+    attempts = MAX_PRIOR_DRAWS if spec.layers[-1].truncation is not None else 1
     rank0 = factor0.shape[1]
     for _ in range(attempts):
         whitened = [rng.standard_normal((spec.width, rank0) if spec.width > 1 else rank0)]
@@ -300,7 +296,8 @@ class DgpChain:
     the ball (``n_trunc_rejections``) and those whose kernel assembly
     fails or gives a non-finite likelihood (``n_assembly_failures``).  A
     truncated hierarchy needs a uniform mesh.  The chain itself never
-    changes ``step_beta``; dgp_posterior_mean tunes it during burn-in.
+    changes ``step_beta``; dgp_posterior_mean tunes it during burn-in, and
+    ``run_dgp_convergence`` starts every chain at TUNE_START.
 
     Layer 0's kernel is fixed for the whole chain, so its whitened state is
     the r-vector (or (width, r) array) of coefficients of its truncated
@@ -346,7 +343,6 @@ class DgpChain:
         self.mesh, self._spacing, self._factor0 = _on_mesh(spec, mesh)
         self.step_beta = float(step_beta)
         self.rng = np.random.default_rng(rng_seed)
-        self.trace: list[dict] = []
         self.iteration = 0
         self.n_trunc_rejections = 0
         self.n_assembly_failures = 0
@@ -414,25 +410,7 @@ class DgpChain:
 
         self.iteration += 1
         self.n_accepted += int(accepted)
-        self.trace.append(
-            {
-                "iteration": self.iteration,
-                "log_likelihood": self.log_likelihood,
-                "accepted": accepted,
-                "beta": self.step_beta,
-            }
-        )
         return accepted
-
-    def trace_csv(self) -> str:
-        """Chain trace as CSV text (iteration, log_likelihood, accepted, beta)."""
-        lines = ["iteration,log_likelihood,accepted,beta"]
-        for row in self.trace:
-            lines.append(
-                f"{row['iteration']},{float(row['log_likelihood'])!r},"
-                f"{int(row['accepted'])},{float(row['beta'])!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def dgp_posterior_mean(chain: DgpChain, n_burn: int, n_iter: int) -> np.ndarray:
@@ -447,10 +425,10 @@ def dgp_posterior_mean(chain: DgpChain, n_burn: int, n_iter: int) -> np.ndarray:
     ``n_assembly_failures``, ``iteration``) report what the ball and the
     kernel assembly rejected.
     """
-    if n_iter < 1:
-        raise ParameterError(f"n_iter must be at least 1, got {n_iter}")
-    if n_burn < 0:
-        raise ParameterError(f"n_burn must be non-negative, got {n_burn}")
+    if scalar_problem(n_iter, int) or n_iter < 1:
+        raise ParameterError(f"n_iter must be at least 1 and integral, got {n_iter!r}")
+    if scalar_problem(n_burn, int) or n_burn < 0:
+        raise ParameterError(f"n_burn must be non-negative and integral, got {n_burn!r}")
     for _ in range(n_burn // TUNE_WINDOW):
         rate = sum(chain.step() for _ in range(TUNE_WINDOW)) / TUNE_WINDOW
         if rate < TUNE_LOW:

@@ -121,15 +121,15 @@ class DesignRule:
 class McmcParams:
     n_burn: int = 500
     n_iter: int = 2000
-    beta: float = 0.25
 
     def __post_init__(self):
+        for name in ("n_burn", "n_iter"):
+            if problem := scalar_problem(getattr(self, name), int):
+                raise ConfigError(f"{name}: {problem}")
         if self.n_burn < 0:
             raise ConfigError(f"n_burn must be non-negative, got {self.n_burn}")
         if self.n_iter < 1:
             raise ConfigError(f"n_iter must be at least 1, got {self.n_iter}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +355,7 @@ def run_dgp_convergence(
 
     def fit_level(level, data, mesh):
         rng_seed = _level_rng(seed, config.id, level, 3).integers(2**63)
-        chain = deep.DgpChain(config.kernel, data, mesh, step_beta=mcmc.beta, rng_seed=rng_seed)
+        chain = deep.DgpChain(config.kernel, data, mesh, deep.TUNE_START, rng_seed)
         mean = deep.dgp_posterior_mean(chain, mcmc.n_burn, mcmc.n_iter)
         flags = []
         if chain.n_trunc_rejections > 0.5 * chain.iteration:

@@ -458,8 +458,8 @@ def derivative_bound_constant(spec: KernelSpec, p: int, norm_inputs: dict) -> fl
         lam_norm = _norm_input(norm_inputs, "lambda_c2p")
         c_min = _norm_input(norm_inputs, "c_min")
         lam_c0 = norm_inputs.get("lambda_c0", lam_norm)
-        if c_min <= 0:
-            raise ParameterError("c_min must be positive")
+        if not 0 < c_min < math.inf:
+            raise ParameterError("c_min must be positive and finite")
         first = (
             abs(5.0 / 4.0 - 2 * p) ** (2 * p)
             * max(lam_c0, 1.0) ** (0.25 - 2 * p)
@@ -493,6 +493,6 @@ def _norm_input(norm_inputs: dict, key: str) -> float:
     if key not in norm_inputs:
         raise ParameterError(f"norm_inputs is missing required entry {key!r}")
     value = float(norm_inputs[key])
-    if value < 0:
-        raise ParameterError(f"norm_inputs[{key!r}] must be non-negative")
+    if not 0 <= value < math.inf:
+        raise ParameterError(f"norm_inputs[{key!r}] must be non-negative and finite")
     return value

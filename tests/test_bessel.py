@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from gpconv.bessel import log_bessel_k
+from gpconv.errors import ParameterError
 
 
 class TestAgainstScipy:
@@ -173,3 +174,12 @@ class TestInterface:
             log_bessel_k(-1.0, 1.0)
         with pytest.raises(ValueError):
             log_bessel_k(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "nu, x",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.5, [1.0, math.nan]), (1.5, [1.0, math.inf])],
+        ids=["nan-order", "inf-order", "nan-argument", "inf-argument"],
+    )
+    def test_non_finite_input_rejected(self, nu, x):
+        with pytest.raises(ParameterError):
+            log_bessel_k(nu, x)

@@ -178,7 +178,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--beta", "2", "beta must lie in [0, 1]"),
             ("--iters", "0", "n_iter must be at least 1"),
             ("--burn", "-1", "n_burn must be non-negative"),
         ],
@@ -232,7 +231,7 @@ class TestDgp:
         out = tmp_path / "dgp"
         code = main([
             "dgp", "--config", str(small_dgp_config_path), "--out", str(out),
-            "--burn", "20", "--iters", "30", "--beta", "0.3", "--seed", "7",
+            "--burn", "20", "--iters", "30", "--seed", "7",
         ])
         assert code == 0
         lines = (out / "tdgp_small.csv").read_text().strip().splitlines()

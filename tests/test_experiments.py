@@ -240,7 +240,7 @@ _KERNELS = st.one_of(
 _TRUNCATIONS = st.one_of(
     st.none(),
     st.builds(deep.Truncation, st.sampled_from(["holder_discrete", "sobolev_discrete"]),
-              st.integers(0, 3), _POSITIVE, st.integers(1, 5000)),
+              st.integers(0, 3), _POSITIVE),
 )
 
 
@@ -433,7 +433,7 @@ class TestRunDgpConvergence:
     def test_short_run_produces_records(self):
         config, _ = reference_tdgp_config()
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
-        records, fits = run_dgp_convergence(quick, McmcParams(20, 30, 0.3), seed=1)
+        records, fits = run_dgp_convergence(quick, McmcParams(20, 30), seed=1)
         assert len(records) == 2
         assert all(np.isfinite(r.errors["l2"]) for r in records)
 
@@ -441,7 +441,7 @@ class TestRunDgpConvergence:
         config, _ = reference_tdgp_config()
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=32, rate_tail=2)
         with pytest.warns(UserWarning, match="eval_mesh_size") as caught:
-            run_dgp_convergence(quick, McmcParams(2, 3, 0.3), seed=1)
+            run_dgp_convergence(quick, McmcParams(2, 3), seed=1)
         # the warning points at the runner's caller
         assert caught[0].filename == __file__
 
@@ -462,15 +462,16 @@ class TestRunDgpConvergence:
             monkeypatch.setattr(gp.lapack, "dpftrf", failing_dpftrf)
 
         monkeypatch.setattr(deep.DgpChain, "__init__", init_then_fail)
-        records, _ = run_dgp_convergence(quick, McmcParams(5, 10, 0.3), seed=1)
+        records, _ = run_dgp_convergence(quick, McmcParams(5, 10), seed=1)
         assert len(records) == 2
         assert all("assembly-failures" in r.flags for r in records)
         assert all(np.isfinite(r.errors["l2"]) for r in records)
 
-    def test_truncation_warning_flagged(self):
+    def test_truncation_warning_flagged(self, monkeypatch):
         """With beta = 1 and no burn-in every proposal is an independent
         prior draw, so a ball at the prior's 30th percentile rejects most of
         them and flags every level; a vacuous ball flags none."""
+        monkeypatch.setattr(deep, "TUNE_START", 1.0)
         config, _ = reference_tdgp_config()
         quick = replace(config, n_schedule=(8, 16), eval_mesh_size=128, rate_tail=2)
         layer = config.kernel.layers[-1]
@@ -480,7 +481,7 @@ class TestRunDgpConvergence:
             discrete_norm(deep.sample_dgp_prior(free, mesh, seed=s)[0], mesh, "holder_discrete", 2)
             for s in range(200)
         ]
-        mcmc = McmcParams(n_burn=0, n_iter=40, beta=1.0)
+        mcmc = McmcParams(n_burn=0, n_iter=40)
         for radius, flagged in ((float(np.percentile(norms, 30)), True), (1e9, False)):
             trunc = replace(layer.truncation, radius=radius)
             spec = replace(config.kernel, layers=(replace(layer, truncation=trunc),))

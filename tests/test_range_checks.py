@@ -10,10 +10,24 @@ import math
 import numpy as np
 import pytest
 
-from gpconv.analysis import DesignSet, discrete_norm, fit_rate
-from gpconv.deep import DgpChain, DgpSpec, LayerSpec, Truncation, sample_dgp_prior
+from gpconv.analysis import (
+    DesignSet,
+    discrete_norm,
+    fit_rate,
+    matern_equivalence_constants,
+    uniform_design,
+)
+from gpconv.deep import (
+    DgpChain,
+    DgpSpec,
+    LayerSpec,
+    Truncation,
+    dgp_posterior_mean,
+    sample_dgp_prior,
+)
 from gpconv.errors import ConfigError, ParameterError
-from gpconv.experiments import NoiseModel
+from gpconv.experiments import McmcParams, NoiseModel
+from gpconv.functions import make_function
 from gpconv.gp import (
     TrainingData,
     fit,
@@ -22,7 +36,14 @@ from gpconv.gp import (
     posterior_var,
     sample_prior,
 )
-from gpconv.kernels import GaussianKernel, MaternKernel, check_psd, matern_eval
+from gpconv.kernels import (
+    GaussianKernel,
+    MaternKernel,
+    WarpKernel,
+    check_psd,
+    derivative_bound_constant,
+    matern_eval,
+)
 
 NAN = math.nan
 PTS = np.array([0.0, 1.0, 2.0])
@@ -44,6 +65,11 @@ H = np.array([0.4, 0.2, 0.1])
 
 def _chain(mesh):
     return DgpChain(DGP, TrainingData(PTS, np.zeros(3), noise_var=1e-4), mesh, 0.3, 0)
+
+
+def _bound(norm_inputs):
+    warp = WarpKernel(make_function({"kind": "identity"}), GaussianKernel())
+    return derivative_bound_constant(warp, 1, norm_inputs)
 
 
 @pytest.mark.parametrize(
@@ -70,11 +96,15 @@ def _chain(mesh):
         (lambda: matern_eval(2.5, 1.0, 1.0, NAN), ParameterError),
         (lambda: fit_rate([0.4, NAN, 0.1], H**2, 3), ParameterError),
         (lambda: fit_rate(H, [0.16, NAN, 0.01], 3), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, NAN, 1.0, 1), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, 1.0, NAN, 1), ParameterError),
+        (lambda: _bound({"w_c2p": NAN}), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
          "psd-tol", "training-point", "training-value", "design-point", "query-mean",
          "query-var", "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh",
-         "chain-mesh", "matern-distance", "rate-h", "rate-error"],
+         "chain-mesh", "matern-distance", "rate-h", "rate-error", "equivalence-lam",
+         "equivalence-sigma-sq", "bound-norm-input"],
 )
 def test_nan_rejected(build, error):
     with pytest.raises(error):
@@ -112,13 +142,43 @@ INF = math.inf
         (lambda: matern_eval(2.5, 1.0, 1.0, INF), ParameterError),
         (lambda: fit_rate([0.4, 0.2, INF], H**2, 3), ParameterError),
         (lambda: fit_rate(H, [0.16, INF, 0.01], 3), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, INF, 1.0, 1), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, 1.0, INF, 1), ParameterError),
+        (lambda: _bound({"w_c2p": INF}), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
          "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
          "training-point", "training-value", "design-domain", "query-mean", "query-var",
          "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh", "chain-mesh",
-         "matern-distance", "rate-h", "rate-error"],
+         "matern-distance", "rate-h", "rate-error", "equivalence-lam",
+         "equivalence-sigma-sq", "bound-norm-input"],
 )
 def test_inf_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Truncation("holder_discrete", 1.5, 50.0), ParameterError),
+        (lambda: DgpSpec(depth=1.0, layer0_nu=3.5, layers=DGP.layers), ParameterError),
+        (lambda: DgpSpec(depth=1, layer0_nu=3.5, layers=DGP.layers, width=True),
+         ParameterError),
+        (lambda: discrete_norm(np.zeros(5), MESH, "holder_discrete", 1.5), ParameterError),
+        (lambda: fit_rate(H, H**2, 2.5), ParameterError),
+        (lambda: dgp_posterior_mean(_chain(MESH), 1, 2.0), ParameterError),
+        (lambda: dgp_posterior_mean(_chain(MESH), 0.5, 1), ParameterError),
+        (lambda: uniform_design((0.0, 1.0), 4.0), ParameterError),
+        (lambda: McmcParams(n_burn=2.5), ConfigError),
+        (lambda: McmcParams(n_iter=True), ConfigError),
+    ],
+    ids=["truncation-order", "dgp-depth", "dgp-width", "norm-order", "rate-tail",
+         "chain-iterations", "chain-burn-in", "design-size", "mcmc-burn-in",
+         "mcmc-iterations"],
+)
+def test_non_integer_count_rejected(build, error):
+    """A count given as a float or a bool is rejected up front, not later
+    by a bare TypeError from range() or a slice."""
     with pytest.raises(error):
         build()
