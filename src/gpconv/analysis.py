@@ -228,8 +228,8 @@ def matern_equivalence_constants(
     """
     if not nu > 0 or math.isinf(nu):
         raise ParameterError(f"nu must be positive and finite, got {nu}")
-    if not (0 < lam < math.inf and 0 < sigma_sq < math.inf) or d < 1:
-        raise ParameterError("lam and sigma_sq must be positive and finite and d >= 1")
+    if not (0 < lam < math.inf and 0 < sigma_sq < math.inf) or scalar_problem(d, int) or d < 1:
+        raise ParameterError("lam and sigma_sq must be positive and finite and d an integer >= 1")
     core = (
         math.sqrt(sigma_sq)
         * math.exp(0.5 * (math.lgamma(nu + d / 2.0) - math.lgamma(nu)))

@@ -92,44 +92,44 @@ class Truncation:
 class LayerSpec:
     """One transition of the hierarchy: how layer n builds the kernel of n+1.
 
+    ``base`` is the Matern kernel that the layer warps or scales.
     ``truncation`` constrains this transition's input layer; the hierarchy
     only permits it on the final transition, i.e. on the layer the final
     kernel is built from.
     """
 
     construction: str  # "warp" or "mixture_f"
-    base_nu: float
-    base_lambda: float = 1.0
-    base_sigma_sq: float = 1.0
+    base: MaternKernel
     link_eta: float = 1.0
     truncation: Truncation | None = None
 
     def __post_init__(self):
         if self.construction not in ("warp", "mixture_f"):
             raise ParameterError(f"unknown construction {self.construction!r}")
+        if not isinstance(self.base, MaternKernel):
+            raise ParameterError(f"base must be a MaternKernel, got {self.base!r}")
         if self.construction == "mixture_f" and not 0 < self.link_eta < math.inf:
             raise ParameterError("link_eta must be positive and finite")
-        # base kernel parameters validated by MaternKernel
-        self.base_kernel()
-
-    def base_kernel(self) -> MaternKernel:
-        return MaternKernel(self.base_nu, self.base_lambda, self.base_sigma_sq)
 
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """Depth-D (or width-L) hierarchy description."""
+    """Depth-D (or width-L) hierarchy description.
+
+    ``layer0`` is the stationary Matern kernel of the initial layer f^0;
+    ``layers`` holds the D transitions that build each later layer's kernel.
+    """
 
     depth: int
-    layer0_nu: float
+    layer0: MaternKernel
     layers: tuple[LayerSpec, ...]
-    layer0_lambda: float = 1.0
-    layer0_sigma_sq: float = 1.0
     width: int = 1
     rescale_warp: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if not isinstance(self.layer0, MaternKernel):
+            raise ParameterError(f"layer0 must be a MaternKernel, got {self.layer0!r}")
         for name in ("depth", "width"):
             value = getattr(self, name)
             if scalar_problem(value, int) or value < 1:
@@ -143,10 +143,6 @@ class DgpSpec:
                 raise ParameterError(
                     "truncation is only legal on the layer feeding the final kernel"
                 )
-        self.layer0_kernel()
-
-    def layer0_kernel(self) -> MaternKernel:
-        return MaternKernel(self.layer0_nu, self.layer0_lambda, self.layer0_sigma_sq)
 
 
 def _affine_rescale(values: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -171,7 +167,6 @@ def layer_kernel(
     F(layer) = layer^2 + eta.  A (width, m) array of previous values
     yields a multi-component mixture.
     """
-    base = layer.base_kernel()
     prev_values = np.asarray(prev_values, dtype=float)
     if not np.all(np.isfinite(prev_values)):
         raise EvaluationError("layer values are not finite")
@@ -180,7 +175,7 @@ def layer_kernel(
         if prev_values.ndim != 1:
             raise ParameterError("warp construction takes a single previous layer")
         vals = _affine_rescale(prev_values, mesh[0], mesh[-1]) if rescale_warp else prev_values
-        return WarpKernel(w=piecewise_linear(mesh, vals, label="layer warp"), base=base)
+        return WarpKernel(w=piecewise_linear(mesh, vals, label="layer warp"), base=layer.base)
 
     rows = prev_values[None, :] if prev_values.ndim == 1 else prev_values
     eta = layer.link_eta
@@ -190,7 +185,7 @@ def layer_kernel(
         sigma_fn = FunctionHandle(
             fn=lambda u, f=interp: f(u) ** 2 + eta, label=f"F(layer), eta={eta}"
         )
-        components.append((sigma_fn, base))
+        components.append((sigma_fn, layer.base))
     return MixtureKernel(components=tuple(components))
 
 
@@ -205,7 +200,7 @@ def _on_mesh(spec: DgpSpec, mesh) -> tuple[np.ndarray, float | None, np.ndarray]
         raise ParameterError("mesh must be sorted with at least two distinct points")
     trunc = spec.layers[-1].truncation
     spacing = None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)
-    return mesh, spacing, _path_spectral(spec.layer0_kernel(), mesh)
+    return mesh, spacing, _path_spectral(spec.layer0, mesh)
 
 
 def _forward(

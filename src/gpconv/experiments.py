@@ -11,12 +11,13 @@ Configs serialise to and from JSON by one rule read off the dataclass
 fields: an object holds a dataclass's fields under their names (a kernel
 adds its ``variant``) and may leave out any field with a default, so each
 default is stated once, on its dataclass.  An unknown key or a value of the
-wrong type is a ``ConfigError`` naming its key path.  Two layouts are
-exceptions: mixture components are ``{"sigma", "base"}`` objects, and the
-hierarchy's initial layer is a ``"layer0": {nu, lam, sigma_sq}`` block.
-``config_to_dict`` writes every field, defaults included.  A hierarchy has
-no domain of its own: a rescaled warp layer maps onto the config's
-``domain``, the ends of the evaluation mesh its chain runs on.
+wrong type is a ``ConfigError`` naming its key path.  Every kernel object
+names its ``variant``, also where the field takes one kernel class only (a
+hierarchy's ``layer0`` and each layer's ``base`` are ``"matern"``).  One
+layout is an exception: mixture components are ``{"sigma", "base"}``
+objects.  ``config_to_dict`` writes every field, defaults included.  A
+hierarchy has no domain of its own: a rescaled warp layer maps onto the
+config's ``domain``, the ends of the evaluation mesh its chain runs on.
 
 Random streams are split deterministically from (seed, config id, level),
 so results do not depend on execution order.
@@ -113,6 +114,8 @@ class DesignRule:
     def __post_init__(self):
         if self.kind not in ("uniform", "random"):
             raise ConfigError(f"unknown design kind {self.kind!r}")
+        if problem := scalar_problem(self.seed, int):
+            raise ConfigError(f"seed: {problem}")
         if not self.seed >= 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -493,12 +496,11 @@ def reference_tdgp_config() -> tuple[ExperimentConfig, McmcParams]:
     """
     spec = deep.DgpSpec(
         depth=1,
-        layer0_nu=3.5,
-        layer0_lambda=5.0,
+        layer0=MaternKernel(3.5, lam=5.0),
         layers=(
             deep.LayerSpec(
                 construction="warp",
-                base_nu=2.5,
+                base=MaternKernel(2.5),
                 truncation=deep.Truncation(norm_kind="holder_discrete", order=2, radius=50.0),
             ),
         ),
@@ -528,12 +530,6 @@ _VARIANTS = {
     ConvolutionKernel: "convolution",
     deep.DgpSpec: "dgp",
 }
-# DgpSpec fields held in the hierarchy's "layer0" block -> their key path there
-_LAYER0 = {
-    "layer0_nu": "layer0.nu",
-    "layer0_lambda": "layer0.lam",
-    "layer0_sigma_sq": "layer0.sigma_sq",
-}
 
 
 @dataclass(frozen=True)
@@ -560,10 +556,7 @@ def _encode(value):
         return [_encode(v) for v in value]
     if not is_dataclass(value):
         return value
-    out = {}
-    for f in fields(value):
-        block, _, key = _LAYER0.get(f.name, f.name).rpartition(".")
-        (out.setdefault(block, {}) if block else out)[key] = _encode(getattr(value, f.name))
+    out = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, MixtureKernel):
         out["components"] = [_encode(_Component(*c)) for c in value.components]
     variant = _VARIANTS.get(type(value))
@@ -588,9 +581,11 @@ def _decode(tp, value, path: str):
         return tuple(_decode(args[0], v, _join(path, i)) for i, v in enumerate(value))
     if type(None) in args:  # X | None
         return None if value is None else _decode(args[0], value, path)
-    if origin is typing.Union:  # a kernel, chosen by its variant
-        variants = {name: cls for cls, name in _VARIANTS.items() if cls in args}
-        variant = value.get("variant") if isinstance(value, dict) else None
+    if origin is typing.Union or tp in _VARIANTS:  # a kernel, chosen by its variant
+        if not isinstance(value, dict):
+            raise _error(path, f"expected an object, got {value!r}")
+        variants = {name: cls for cls, name in _VARIANTS.items() if cls in args or cls is tp}
+        variant = value.get("variant")
         if not isinstance(variant, str) or variant not in variants:
             expected = f"expected one of {sorted(variants)}, got {variant!r}"
             raise _error(_join(path, "variant"), expected)
@@ -604,25 +599,16 @@ def _decode_object(cls, data, path: str):
     default, and the constructor's own checks become ``ConfigError``s."""
     if not isinstance(data, dict):
         raise _error(path, f"expected an object, got {data!r}")
-    data = dict(data)
     hints = typing.get_type_hints(cls)
     if cls is MixtureKernel:
         hints["components"] = tuple[_Component, ...]
-    if cls is deep.DgpSpec:
-        layer0 = data.pop("layer0", {})
-        if not isinstance(layer0, dict):
-            raise _error(_join(path, "layer0"), f"expected an object, got {layer0!r}")
-        data.update({f"layer0.{key}": value for key, value in layer0.items()})
-    names = {_LAYER0.get(f.name, f.name): f for f in fields(cls)}  # by JSON key
+    names = [f.name for f in fields(cls)]
     if unknown := [_join(path, key) for key in data if key not in names]:
         raise ConfigError(f"unknown keys {unknown}")
-    required = [key for key, f in names.items() if f.default is MISSING]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
     if missing := [_join(path, key) for key in required if key not in data]:
         raise ConfigError(f"missing keys {missing}")
-    kwargs = {
-        f.name: _decode(hints[f.name], data[key], _join(path, key))
-        for key, f in names.items() if key in data
-    }
+    kwargs = {key: _decode(hints[key], value, _join(path, key)) for key, value in data.items()}
     if cls is MixtureKernel:
         kwargs["components"] = tuple((c.sigma, c.base) for c in kwargs["components"])
     try:

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     UnsupportedKernelError,
 )
-from .functions import FunctionHandle
+from .functions import FunctionHandle, scalar_problem
 
 # Upper bound on the universal constant in the Gaussian-derivative estimate
 # used by the kernel-derivative bounds; only the bound is known.
@@ -409,8 +409,8 @@ def bell_number(n: int) -> int:
     Computed with the Bell triangle.  Guarded at n <= 25 so results stay
     inside the exact 64-bit integer range of downstream consumers.
     """
-    if n < 0:
-        raise ParameterError(f"n must be non-negative, got {n}")
+    if scalar_problem(n, int) or not n >= 0:
+        raise ParameterError(f"n must be a non-negative integer, got {n!r}")
     if n > _BELL_MAX_N:
         raise ParameterError(f"n={n} exceeds the supported range n <= {_BELL_MAX_N}")
     row = [1]
@@ -437,8 +437,8 @@ def derivative_bound_constant(spec: KernelSpec, p: int, norm_inputs: dict) -> fl
     convolution constant is evaluated with the published grouping and is
     informational only; no convergence check consumes it.
     """
-    if p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p}")
+    if scalar_problem(p, int) or not p >= 1:
+        raise ParameterError(f"p must be a positive integer, got {p!r}")
     b2p = bell_number(2 * p)
     sqrt_fact = math.sqrt(math.factorial(2 * p))
 
@@ -457,7 +457,7 @@ def derivative_bound_constant(spec: KernelSpec, p: int, norm_inputs: dict) -> fl
         base = _require_gaussian_base(spec.base_iso, "convolution")
         lam_norm = _norm_input(norm_inputs, "lambda_c2p")
         c_min = _norm_input(norm_inputs, "c_min")
-        lam_c0 = norm_inputs.get("lambda_c0", lam_norm)
+        lam_c0 = _norm_input(norm_inputs, "lambda_c0") if "lambda_c0" in norm_inputs else lam_norm
         if not 0 < c_min < math.inf:
             raise ParameterError("c_min must be positive and finite")
         first = (

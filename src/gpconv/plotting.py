@@ -51,8 +51,13 @@ def render_loglog_svg(req: PlotRequest) -> str:
         raise ParameterError("need at least two records to plot")
     h_vals = [r.fill_distance for r in req.records]
     e_vals = [max(r.errors[req.norm], 1e-300) for r in req.records]
-    if any(h <= 0 for h in h_vals):
-        raise ParameterError("fill distances must be positive")
+    if not all(0 < h < math.inf for h in h_vals):
+        raise ParameterError("fill distances must be positive and finite")
+    if not all(math.isfinite(e) for e in e_vals):
+        raise ParameterError(f"{req.norm} errors must be finite")
+    fit = req.rate_fit
+    if not all(map(math.isfinite, (fit.slope, fit.intercept, *req.reference_slopes))):
+        raise ParameterError("the fitted and reference slopes and the intercept must be finite")
 
     lx = [math.log10(h) for h in h_vals]
     ly = [math.log10(e) for e in e_vals]
@@ -121,7 +126,6 @@ def render_loglog_svg(req: PlotRequest) -> str:
         )
 
     # fitted line over the data range
-    fit = req.rate_fit
     log_e = math.log(10.0)
     fit_lo = (fit.slope * (x_lo * log_e) + fit.intercept) / log_e
     fit_hi = (fit.slope * (x_hi * log_e) + fit.intercept) / log_e

@@ -27,9 +27,8 @@ NON_UNIFORM_MESH = MESH**2 / 5.0
 def _warp_spec(truncation=None, layer0_lambda=5.0):
     return DgpSpec(
         depth=1,
-        layer0_nu=3.5,
-        layer0_lambda=layer0_lambda,
-        layers=(LayerSpec("warp", base_nu=2.5, truncation=truncation),),
+        layer0=MaternKernel(3.5, lam=layer0_lambda),
+        layers=(LayerSpec("warp", base=MaternKernel(2.5), truncation=truncation),),
         rescale_warp=True,
     )
 
@@ -37,9 +36,8 @@ def _warp_spec(truncation=None, layer0_lambda=5.0):
 def _mixture_spec(layer0_sigma_sq=1.0, eta=1.0):
     return DgpSpec(
         depth=1,
-        layer0_nu=3.5,
-        layer0_sigma_sq=layer0_sigma_sq,
-        layers=(LayerSpec("mixture_f", base_nu=2.5, link_eta=eta),),
+        layer0=MaternKernel(3.5, sigma_sq=layer0_sigma_sq),
+        layers=(LayerSpec("mixture_f", base=MaternKernel(2.5), link_eta=eta),),
     )
 
 
@@ -51,30 +49,41 @@ def _training_data(n=16, noise_var=1e-4):
 class TestSpecs:
     def test_depth_layer_count_must_match(self):
         with pytest.raises(ParameterError):
-            DgpSpec(depth=2, layer0_nu=2.5, layers=(LayerSpec("warp", 1.5),))
+            DgpSpec(
+                depth=2, layer0=MaternKernel(2.5), layers=(LayerSpec("warp", MaternKernel(1.5)),)
+            )
 
     def test_truncation_only_on_final_input_layer(self):
         trunc = Truncation("holder_discrete", 1, 10.0)
         with pytest.raises(ParameterError):
             DgpSpec(
                 depth=2,
-                layer0_nu=3.5,
+                layer0=MaternKernel(3.5),
                 layers=(
-                    LayerSpec("warp", 2.5, truncation=trunc),
-                    LayerSpec("warp", 1.5),
+                    LayerSpec("warp", MaternKernel(2.5), truncation=trunc),
+                    LayerSpec("warp", MaternKernel(1.5)),
                 ),
             )
         # legal on the last transition
         DgpSpec(
             depth=2,
-            layer0_nu=3.5,
-            layers=(LayerSpec("warp", 2.5), LayerSpec("warp", 1.5, truncation=trunc)),
+            layer0=MaternKernel(3.5),
+            layers=(
+                LayerSpec("warp", MaternKernel(2.5)),
+                LayerSpec("warp", MaternKernel(1.5), truncation=trunc),
+            ),
         )
 
     def test_width_requires_depth_one_mixture(self):
         with pytest.raises(ParameterError):
-            DgpSpec(depth=1, layer0_nu=2.5, layers=(LayerSpec("warp", 1.5),), width=3)
-        DgpSpec(depth=1, layer0_nu=2.5, layers=(LayerSpec("mixture_f", 1.5),), width=3)
+            DgpSpec(
+                depth=1, layer0=MaternKernel(2.5), layers=(LayerSpec("warp", MaternKernel(1.5)),),
+                width=3,
+            )
+        DgpSpec(
+            depth=1, layer0=MaternKernel(2.5), layers=(LayerSpec("mixture_f", MaternKernel(1.5)),),
+            width=3,
+        )
 
 
 class TestSampleDgpPrior:
@@ -132,15 +141,19 @@ class TestSampleDgpPrior:
     def test_depth_two_shapes(self):
         spec = DgpSpec(
             depth=2,
-            layer0_nu=3.5,
-            layers=(LayerSpec("mixture_f", 3.5), LayerSpec("mixture_f", 2.5)),
+            layer0=MaternKernel(3.5),
+            layers=(
+                LayerSpec("mixture_f", MaternKernel(3.5)),
+                LayerSpec("mixture_f", MaternKernel(2.5)),
+            ),
         )
         layers = sample_dgp_prior(spec, MESH, seed=1)
         assert len(layers) == 3 and all(l.shape == MESH.shape for l in layers)
 
     def test_wide_first_layer(self):
         spec = DgpSpec(
-            depth=1, layer0_nu=3.5, layers=(LayerSpec("mixture_f", 2.5),), width=3
+            depth=1, layer0=MaternKernel(3.5), layers=(LayerSpec("mixture_f", MaternKernel(2.5)),),
+            width=3,
         )
         layers = sample_dgp_prior(spec, MESH, seed=1)
         assert layers[0].shape == (3, len(MESH))
@@ -162,7 +175,8 @@ class TestLayerKernel:
         """A rescaled warp layer maps onto the mesh's own interval."""
         mesh = np.linspace(0.0, 10.0, 201)
         layer = np.sin(mesh) + 0.3 * mesh
-        kernel = layer_kernel(LayerSpec("warp", base_nu=2.5), layer, mesh, rescale_warp=True)
+        layer_spec = LayerSpec("warp", base=MaternKernel(2.5))
+        kernel = layer_kernel(layer_spec, layer, mesh, rescale_warp=True)
         warp = kernel.w(mesh)
         assert (warp.min(), warp.max()) == (0.0, 10.0)
 
@@ -175,13 +189,16 @@ class TestPathDraw:
         [
             DgpSpec(
                 depth=2,
-                layer0_nu=3.5,
-                layer0_lambda=5.0,
-                layers=(LayerSpec("warp", base_nu=2.5), LayerSpec("mixture_f", base_nu=2.5)),
+                layer0=MaternKernel(3.5, lam=5.0),
+                layers=(
+                    LayerSpec("warp", base=MaternKernel(2.5)),
+                    LayerSpec("mixture_f", base=MaternKernel(2.5)),
+                ),
                 rescale_warp=True,
             ),
             DgpSpec(
-                depth=1, layer0_nu=3.5, width=3, layers=(LayerSpec("mixture_f", base_nu=2.5),)
+                depth=1, layer0=MaternKernel(3.5), width=3,
+                layers=(LayerSpec("mixture_f", base=MaternKernel(2.5)),),
             ),
             _warp_spec(truncation=Truncation("holder_discrete", 2, 50.0)),
         ],
@@ -204,7 +221,7 @@ class TestPathSpectral:
     REFERENCE_MESH = np.linspace(0.0, 5.0, 1024)
 
     def test_reference_factor_reproduces_gram_to_path_jitter(self):
-        kernel = _warp_spec().layer0_kernel()
+        kernel = _warp_spec().layer0
         factor = _path_spectral(kernel, self.REFERENCE_MESH)
         gram_matrix = gram(kernel, self.REFERENCE_MESH)
         m, r = factor.shape
@@ -219,8 +236,8 @@ class TestPathSpectral:
         assert r < len(MESH)
         assert chain.whitened_state[0].shape == (r,)
         wide = DgpSpec(
-            depth=1, layer0_nu=3.5, layer0_lambda=5.0, width=3,
-            layers=(LayerSpec("mixture_f", base_nu=2.5),),
+            depth=1, layer0=MaternKernel(3.5, lam=5.0), width=3,
+            layers=(LayerSpec("mixture_f", base=MaternKernel(2.5)),),
         )
         chain = DgpChain(wide, _training_data(), MESH, 0.3, rng_seed=9)
         assert chain.whitened_state[0].shape == (3, r)
@@ -272,9 +289,10 @@ class TestChain:
 
         spec = DgpSpec(
             depth=2,
-            layer0_nu=3.5,
-            layer0_lambda=5.0,
-            layers=(LayerSpec("warp", 2.5), LayerSpec("mixture_f", 2.5)),
+            layer0=MaternKernel(3.5, lam=5.0),
+            layers=(
+                LayerSpec("warp", MaternKernel(2.5)), LayerSpec("mixture_f", MaternKernel(2.5))
+            ),
             rescale_warp=True,
         )
         monkeypatch.setattr(lapack, "dpftrf", failing_dpftrf)
@@ -357,15 +375,16 @@ class TestChain:
         [
             _warp_spec(truncation=Truncation("sobolev_discrete", 1, 12.0)),
             DgpSpec(
-                depth=1, layer0_nu=3.5, width=3, layers=(LayerSpec("mixture_f", base_nu=2.5),)
+                depth=1, layer0=MaternKernel(3.5), width=3,
+                layers=(LayerSpec("mixture_f", base=MaternKernel(2.5)),),
             ),
             DgpSpec(
                 depth=2,
-                layer0_nu=3.5,
+                layer0=MaternKernel(3.5),
                 layers=(
-                    LayerSpec("mixture_f", base_nu=3.5),
+                    LayerSpec("mixture_f", base=MaternKernel(3.5)),
                     LayerSpec(
-                        "mixture_f", base_nu=2.5,
+                        "mixture_f", base=MaternKernel(2.5),
                         truncation=Truncation("holder_discrete", 0, 1.5),
                     ),
                 ),

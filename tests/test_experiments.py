@@ -193,8 +193,13 @@ class TestSerialisation:
             (lambda k: k.update(layer0=[3.5]), "kernel.layer0: expected an object"),
             (lambda k: k["layers"][0].update(truncation=5), "kernel.layers.0.truncation"),
             (lambda k: k.update(variant="nope"), "kernel.variant: expected one of"),
+            (lambda k: k["layer0"].update(variant="gaussian"),
+             "kernel.layer0.variant: expected one of ['matern']"),
+            (lambda k: k["layers"][0].update(base_nu=2.5),
+             "unknown keys ['kernel.layers.0.base_nu']"),
         ],
-        ids=["layer0-extra", "flat-layer0", "layer0-no-nu", "layer0-list", "truncation", "variant"],
+        ids=["layer0-extra", "flat-layer0", "layer0-no-nu", "layer0-list", "truncation", "variant",
+             "layer0-variant", "flat-base"],
     )
     def test_hierarchy_layout_errors_name_key_paths(self, edit, message):
         config, _ = reference_tdgp_config()
@@ -251,14 +256,13 @@ def _hierarchies(draw, width):
     constructions = st.just("mixture_f") if width > 1 else st.sampled_from(["warp", "mixture_f"])
     layers = [
         deep.LayerSpec(
-            draw(constructions), *draw(st.tuples(*[_POSITIVE] * 4)),
+            draw(constructions), draw(_MATERN), draw(_POSITIVE),
             truncation=draw(_TRUNCATIONS) if i == depth - 1 else None,
         )
         for i in range(depth)
     ]
     return deep.DgpSpec(
-        depth, draw(_POSITIVE), tuple(layers), draw(_POSITIVE), draw(_POSITIVE),
-        width=width, rescale_warp=draw(st.booleans()),
+        depth, draw(_MATERN), tuple(layers), width=width, rescale_warp=draw(st.booleans())
     )
 
 

@@ -138,7 +138,7 @@ def test_spectral_path_factor_is_the_one_shot_eigendecomposition(m):
     Gram matrix, scaled by sqrt(s): on the reference layer-0 mesh (even m)
     and on an odd mesh, the two RFP layouts."""
     config, _ = reference_tdgp_config()
-    spec = config.kernel.layer0_kernel()
+    spec = config.kernel.layer0
     mesh = np.linspace(*config.domain, m)
     gram_matrix = kernel_matrix(spec, mesh)
     path_jitter = gp.PATH_JITTER_SCALE * np.max(np.diag(gram_matrix))

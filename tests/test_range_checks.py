@@ -12,6 +12,7 @@ import pytest
 
 from gpconv.analysis import (
     DesignSet,
+    RateFit,
     discrete_norm,
     fit_rate,
     matern_equivalence_constants,
@@ -26,7 +27,7 @@ from gpconv.deep import (
     sample_dgp_prior,
 )
 from gpconv.errors import ConfigError, ParameterError
-from gpconv.experiments import McmcParams, NoiseModel
+from gpconv.experiments import ConvergenceRecord, DesignRule, McmcParams, NoiseModel
 from gpconv.functions import make_function
 from gpconv.gp import (
     TrainingData,
@@ -37,13 +38,16 @@ from gpconv.gp import (
     sample_prior,
 )
 from gpconv.kernels import (
+    ConvolutionKernel,
     GaussianKernel,
     MaternKernel,
     WarpKernel,
+    bell_number,
     check_psd,
     derivative_bound_constant,
     matern_eval,
 )
+from gpconv.plotting import PlotRequest, render_loglog_svg
 
 NAN = math.nan
 PTS = np.array([0.0, 1.0, 2.0])
@@ -59,7 +63,9 @@ def _post():
 
 MESH = np.linspace(0.0, 1.0, 5)
 # untruncated, so a non-uniform mesh reaches the layer-0 factor
-DGP = DgpSpec(depth=1, layer0_nu=3.5, layers=(LayerSpec("warp", base_nu=2.5),))
+DGP = DgpSpec(
+    depth=1, layer0=MaternKernel(3.5), layers=(LayerSpec("warp", base=MaternKernel(2.5)),)
+)
 H = np.array([0.4, 0.2, 0.1])
 
 
@@ -67,16 +73,32 @@ def _chain(mesh):
     return DgpChain(DGP, TrainingData(PTS, np.zeros(3), noise_var=1e-4), mesh, 0.3, 0)
 
 
-def _bound(norm_inputs):
+def _bound(norm_inputs, p=1):
     warp = WarpKernel(make_function({"kind": "identity"}), GaussianKernel())
-    return derivative_bound_constant(warp, 1, norm_inputs)
+    return derivative_bound_constant(warp, p, norm_inputs)
+
+
+def _convolution_bound(lambda_c0):
+    conv = ConvolutionKernel(make_function({"kind": "constant", "value": 1.0}), GaussianKernel())
+    norm_inputs = {"lambda_c2p": 1.0, "c_min": 0.5, "lambda_c0": lambda_c0}
+    return derivative_bound_constant(conv, 1, norm_inputs)
+
+
+def _svg(h=0.5, error=0.1, slope=2.0, intercept=0.0, reference=2.0):
+    records = [
+        ConvergenceRecord(n=2, fill_distance=h, errors={"l2": error}, wall_time_ms=0.0),
+        ConvergenceRecord(n=4, fill_distance=0.25, errors={"l2": 0.01}, wall_time_ms=0.0),
+    ]
+    fit = RateFit(slope=slope, intercept=intercept, r_squared=1.0, points_used=2)
+    request = PlotRequest(records=records, rate_fit=fit, title="t", reference_slopes=(reference,))
+    return render_loglog_svg(request)
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
         (lambda: Truncation("holder_discrete", 0, NAN), ParameterError),
-        (lambda: LayerSpec("mixture_f", 2.5, link_eta=NAN), ParameterError),
+        (lambda: LayerSpec("mixture_f", MaternKernel(2.5), link_eta=NAN), ParameterError),
         (lambda: _data(noise_var=NAN), ParameterError),
         (lambda: fit(MaternKernel(1.5), _data(), jitter=NAN), ParameterError),
         (lambda: NoiseModel("fixed", delta_sq=NAN), ConfigError),
@@ -99,12 +121,19 @@ def _bound(norm_inputs):
         (lambda: matern_equivalence_constants(1.5, NAN, 1.0, 1), ParameterError),
         (lambda: matern_equivalence_constants(1.5, 1.0, NAN, 1), ParameterError),
         (lambda: _bound({"w_c2p": NAN}), ParameterError),
+        (lambda: _convolution_bound(NAN), ParameterError),
+        (lambda: _svg(h=NAN), ParameterError),
+        (lambda: _svg(error=NAN), ParameterError),
+        (lambda: _svg(slope=NAN), ParameterError),
+        (lambda: _svg(intercept=NAN), ParameterError),
+        (lambda: _svg(reference=NAN), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
          "psd-tol", "training-point", "training-value", "design-point", "query-mean",
          "query-var", "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh",
          "chain-mesh", "matern-distance", "rate-h", "rate-error", "equivalence-lam",
-         "equivalence-sigma-sq", "bound-norm-input"],
+         "equivalence-sigma-sq", "bound-norm-input", "bound-lambda-c0", "plot-h",
+         "plot-error", "plot-slope", "plot-intercept", "plot-reference"],
 )
 def test_nan_rejected(build, error):
     with pytest.raises(error):
@@ -118,7 +147,7 @@ INF = math.inf
     "build, error",
     [
         (lambda: Truncation("holder_discrete", 0, INF), ParameterError),
-        (lambda: LayerSpec("mixture_f", 2.5, link_eta=INF), ParameterError),
+        (lambda: LayerSpec("mixture_f", MaternKernel(2.5), link_eta=INF), ParameterError),
         (lambda: _data(noise_var=INF), ParameterError),
         (lambda: fit(MaternKernel(1.5), _data(), jitter=INF), ParameterError),
         (lambda: NoiseModel("fixed", delta_sq=INF), ConfigError),
@@ -145,13 +174,20 @@ INF = math.inf
         (lambda: matern_equivalence_constants(1.5, INF, 1.0, 1), ParameterError),
         (lambda: matern_equivalence_constants(1.5, 1.0, INF, 1), ParameterError),
         (lambda: _bound({"w_c2p": INF}), ParameterError),
+        (lambda: _convolution_bound(INF), ParameterError),
+        (lambda: _svg(h=INF), ParameterError),
+        (lambda: _svg(error=INF), ParameterError),
+        (lambda: _svg(slope=-INF), ParameterError),
+        (lambda: _svg(intercept=INF), ParameterError),
+        (lambda: _svg(reference=INF), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
          "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
          "training-point", "training-value", "design-domain", "query-mean", "query-var",
          "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh", "chain-mesh",
          "matern-distance", "rate-h", "rate-error", "equivalence-lam",
-         "equivalence-sigma-sq", "bound-norm-input"],
+         "equivalence-sigma-sq", "bound-norm-input", "bound-lambda-c0", "plot-h",
+         "plot-error", "plot-slope", "plot-intercept", "plot-reference"],
 )
 def test_inf_rejected(build, error):
     with pytest.raises(error):
@@ -162,8 +198,8 @@ def test_inf_rejected(build, error):
     "build, error",
     [
         (lambda: Truncation("holder_discrete", 1.5, 50.0), ParameterError),
-        (lambda: DgpSpec(depth=1.0, layer0_nu=3.5, layers=DGP.layers), ParameterError),
-        (lambda: DgpSpec(depth=1, layer0_nu=3.5, layers=DGP.layers, width=True),
+        (lambda: DgpSpec(depth=1.0, layer0=MaternKernel(3.5), layers=DGP.layers), ParameterError),
+        (lambda: DgpSpec(depth=1, layer0=MaternKernel(3.5), layers=DGP.layers, width=True),
          ParameterError),
         (lambda: discrete_norm(np.zeros(5), MESH, "holder_discrete", 1.5), ParameterError),
         (lambda: fit_rate(H, H**2, 2.5), ParameterError),
@@ -172,13 +208,41 @@ def test_inf_rejected(build, error):
         (lambda: uniform_design((0.0, 1.0), 4.0), ParameterError),
         (lambda: McmcParams(n_burn=2.5), ConfigError),
         (lambda: McmcParams(n_iter=True), ConfigError),
+        (lambda: bell_number(2.5), ParameterError),
+        (lambda: bell_number(3.0), ParameterError),
+        (lambda: bell_number(True), ParameterError),
+        (lambda: _bound({"w_c2p": 1.0}, p=1.5), ParameterError),
+        (lambda: _bound({"w_c2p": 1.0}, p=True), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, 1.0, 1.0, 1.5), ParameterError),
+        (lambda: matern_equivalence_constants(1.5, 1.0, 1.0, True), ParameterError),
+        (lambda: DesignRule("random", seed=1.5), ConfigError),
     ],
     ids=["truncation-order", "dgp-depth", "dgp-width", "norm-order", "rate-tail",
          "chain-iterations", "chain-burn-in", "design-size", "mcmc-burn-in",
-         "mcmc-iterations"],
+         "mcmc-iterations", "bell-half", "bell-float", "bell-bool", "bound-order",
+         "bound-order-bool", "equivalence-dim", "equivalence-dim-bool", "design-seed"],
 )
 def test_non_integer_count_rejected(build, error):
     """A count given as a float or a bool is rejected up front, not later
     by a bare TypeError from range() or a slice."""
     with pytest.raises(error):
+        build()
+
+
+def test_negative_lambda_c0_rejected():
+    with pytest.raises(ParameterError):
+        _convolution_bound(-1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DgpSpec(depth=1, layer0=GaussianKernel(), layers=DGP.layers),
+        lambda: LayerSpec("warp", base=GaussianKernel()),
+    ],
+    ids=["layer0", "base"],
+)
+def test_gaussian_hierarchy_kernel_rejected(build):
+    """A hierarchy's initial layer and each layer's base are Matern kernels."""
+    with pytest.raises(ParameterError, match="MaternKernel"):
         build()
