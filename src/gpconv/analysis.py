@@ -61,8 +61,13 @@ class RateFit:
     points_used: int
 
     def __post_init__(self):
-        if self.points_used < 2:
-            raise ParameterError("a rate fit needs at least two points")
+        if scalar_problem(self.points_used, int) or self.points_used < 2:
+            raise ParameterError(f"points_used must be an integer >= 2, got {self.points_used!r}")
+        for name in ("slope", "intercept", "r_squared"):
+            if problem := scalar_problem(getattr(self, name), float):
+                raise ParameterError(f"{name}: {problem}")
+        if not 0.0 <= self.r_squared <= 1.0:
+            raise ParameterError(f"r_squared must lie in [0, 1], got {self.r_squared}")
 
 
 def fill_distance(design: DesignSet) -> float:

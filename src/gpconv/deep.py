@@ -189,18 +189,19 @@ def layer_kernel(
     return MixtureKernel(components=tuple(components))
 
 
-def _on_mesh(spec: DgpSpec, mesh) -> tuple[np.ndarray, float | None, np.ndarray]:
+def _on_mesh(spec: DgpSpec, mesh, factor0=None) -> tuple[np.ndarray, float | None, np.ndarray]:
     """The hierarchy's setup on a mesh: the sorted 1-D mesh, its spacing if
     truncated (the discrete norms need a uniform mesh of at least order + 2
     points, ``_mesh_spacing``; None for an untruncated hierarchy) and the
     rank-r spectral factor of the f0 Gram matrix (``_path_spectral``, which
-    rejects a non-finite mesh point)."""
+    rejects a non-finite mesh point).  A ``factor0`` from an earlier call on
+    the same spec and mesh is passed through instead of factored again."""
     mesh = np.asarray(mesh, dtype=float).ravel()
     if mesh.size < 2 or not np.all(np.diff(mesh) > 0):
         raise ParameterError("mesh must be sorted with at least two distinct points")
     trunc = spec.layers[-1].truncation
     spacing = None if trunc is None else _mesh_spacing(mesh, trunc.order + 2)
-    return mesh, spacing, _path_spectral(spec.layer0, mesh)
+    return mesh, spacing, _path_spectral(spec.layer0, mesh) if factor0 is None else factor0
 
 
 def _forward(
@@ -296,9 +297,13 @@ class DgpChain:
 
     Layer 0's kernel is fixed for the whole chain, so its whitened state is
     the r-vector (or (width, r) array) of coefficients of its truncated
-    Karhunen-Loeve expansion: one ``_path_spectral`` factor per chain keeps
-    the r eigenpairs of its mesh Gram matrix above the path jitter (r = 73
-    for the reference TDGP run), and a step draws f0 by an m x r product.
+    Karhunen-Loeve expansion: one ``_path_spectral`` factor keeps the r
+    eigenpairs of its mesh Gram matrix above the path jitter (r = 73 for
+    the reference TDGP run), and a step draws f0 by an m x r product.  The
+    factor depends only on layer 0's kernel and the mesh, so it is made
+    once per run, not per chain: ``run_dgp_convergence`` factors it once
+    (``_on_mesh``) and hands it to every level's chain as ``factor0``; a
+    chain built without one factors its own.
     pCN on these coefficients is the same walk as on Cholesky-whitened ones
     (Cotter, Roberts, Stuart & White 2013); layers from truncated KL
     expansions are the construction of Dunlop, Girolami, Stuart &
@@ -325,6 +330,7 @@ class DgpChain:
         mesh,
         step_beta: float,
         rng_seed: int,
+        factor0: np.ndarray | None = None,
     ):
         if data.noise_var <= 0:
             raise ParameterError(
@@ -335,7 +341,7 @@ class DgpChain:
             raise ParameterError(f"step_beta must lie in [0, 1], got {step_beta}")
         self.spec = spec
         self.data = data
-        self.mesh, self._spacing, self._factor0 = _on_mesh(spec, mesh)
+        self.mesh, self._spacing, self._factor0 = _on_mesh(spec, mesh, factor0)
         self.step_beta = float(step_beta)
         self.rng = np.random.default_rng(rng_seed)
         self.iteration = 0

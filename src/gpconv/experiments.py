@@ -345,8 +345,10 @@ def run_dgp_convergence(
 
     Requires a noise schedule; the level delta_N = c h^exponent feeds the
     marginal likelihood (and, when sample_noise is on, the observations).
-    A chain's average conditional mean is already on the mesh, so the
-    prediction phase passes the chain means through.
+    Layer 0's spectral factor depends only on its kernel and the mesh, so
+    it is made once and shared by every level's chain.  A chain's average
+    conditional mean is already on the mesh, so the prediction phase
+    passes the chain means through.
     """
     if not isinstance(config.kernel, deep.DgpSpec):
         raise ConfigError(
@@ -356,9 +358,11 @@ def run_dgp_convergence(
     if config.noise.kind != "schedule":
         raise ConfigError("hierarchy runs need a noise schedule (delta as a power of h)")
 
+    _, _, factor0 = deep._on_mesh(config.kernel, config.eval_mesh())
+
     def fit_level(level, data, mesh):
         rng_seed = _level_rng(seed, config.id, level, 3).integers(2**63)
-        chain = deep.DgpChain(config.kernel, data, mesh, deep.TUNE_START, rng_seed)
+        chain = deep.DgpChain(config.kernel, data, mesh, deep.TUNE_START, rng_seed, factor0)
         mean = deep.dgp_posterior_mean(chain, mcmc.n_burn, mcmc.n_iter)
         flags = []
         if chain.n_trunc_rejections > 0.5 * chain.iteration:

@@ -12,7 +12,12 @@ Gram matrix once (the only O(N^3) step); prediction is matrix-vector work.
 Every Gram matrix this module builds is assembled one way: its lower
 triangle in LAPACK's rectangular full packed (RFP) storage, N(N+1)/2
 numbers (``_packed_gram``), filled in the row blocks that prediction uses
-(``_row_blocks``).  A fit or a Cholesky path factor keeps it in that one
+(``_row_blocks``).  A warp kernel warps the points once per Gram matrix
+and assembles its base kernel on them.  A stationary kernel, and so a
+warp, fills each block with the distances |x_i - x_j| and evaluates its
+profile once on the block, one value per packed entry; mixtures and
+convolutions, which are not functions of distance alone, fill each block
+from two kernel evaluations.  A fit or a Cholesky path factor keeps it in that one
 buffer from assembly to factor: ``dpftrf`` factors it in place
 (``_ridged_cholesky``), and ``dpftrs`` and ``dtfsm`` solve with the
 factor.  So a fit holds half a Gram-sized array and no kernel intermediate
@@ -48,7 +53,16 @@ from scipy import linalg
 from scipy.linalg import blas, lapack
 
 from .errors import ParameterError, SamplingError, SingularGramError
-from .kernels import KernelSpec, _as_points, kernel_diag, kernel_matrix
+from .functions import scalar_problem
+from .kernels import (
+    KernelSpec,
+    _as_points,
+    _stationary_profile,
+    _warped,
+    is_stationary,
+    kernel_diag,
+    kernel_matrix,
+)
 
 DEFAULT_JITTER = 1e-15
 JITTER_ESCALATION = 1000.0
@@ -77,9 +91,9 @@ class TrainingData:
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ParameterError("points and values must be finite")
-        if not 0 <= self.noise_var < math.inf:
+        if scalar_problem(self.noise_var, float) or not 0 <= self.noise_var:
             raise ParameterError(
-                f"noise_var must be non-negative and finite, got {self.noise_var}"
+                f"noise_var must be non-negative and finite, got {self.noise_var!r}"
             )
         if self.noise_var == 0.0 and len(np.unique(pts)) != len(pts):
             raise ParameterError("points must be pairwise distinct when noise_var = 0")
@@ -126,31 +140,43 @@ def _packed_gram(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     of 2q + 1 numbers, and row j is k(x[q + j], x[p : q + j + 1]) followed
     by k(x[j], x[j:]): a row of the trailing q x q block's lower triangle,
     then a column of the whole lower triangle from the diagonal down.  The
-    rows are filled in the blocks ``_row_blocks(p, N)``, each from one
-    kernel evaluation per part; in the block's square where the parts meet,
-    the first gives the strict lower triangle and the second the rest.  So
-    about N^2 / 2 entries are evaluated, each equal to that of
-    ``kernel_matrix(spec, points)`` bit for bit, and the vector is
+    rows are filled in the blocks ``_row_blocks(p, N)``, each from two
+    parts; in the block's square where the parts meet, the first gives the
+    strict lower triangle and the second the rest.  A warp kernel is its
+    base kernel on the warped points, so the points are warped once
+    (``kernels._warped``).  For a stationary kernel the parts are the
+    differences x_i - x_j, and the profile then runs once on the block's
+    absolute values: exactly N(N+1)/2 profile entries in all, one per
+    packed number, never more than a block at a time.  A mixture or a
+    convolution is not a function of distance alone, so each part is a
+    kernel evaluation, about N^2 / 2 entries in all with part of the
+    square where the parts meet thrown away.  Either way each entry equals
+    that of ``kernel_matrix(spec, points)`` bit for bit, since the profile
+    and the kernels are evaluated entry by entry, and the vector is
     ``lapack.dtrttf`` of the one-shot matrix.
     """
     n = len(points)
     q = n // 2
     p = n - q
     shift = q + 1 - p  # the first part of row j has j + shift entries
+    spec, points = _warped(spec, points)
+    distances = is_stationary(spec)
+    part = np.subtract.outer if distances else lambda a, b: kernel_matrix(spec, a, b)
     packed = np.empty((p, 2 * q + 1))
     for rows in _row_blocks(p, n):
         start, stop = rows.start, rows.stop
         size = stop - start
-        packed[rows, : stop + shift - 1] = kernel_matrix(
-            spec, points[q + start : q + stop], points[p : q + stop]
-        )
-        columns = kernel_matrix(spec, points[rows], points[start:])
+        packed[rows, : stop + shift - 1] = part(points[q + start : q + stop], points[p : q + stop])
+        columns = part(points[rows], points[start:])
         np.copyto(
             packed[rows, start + shift : stop + shift],
             columns[:, :size],
             where=np.tri(size, dtype=bool).T,
         )
         packed[rows, stop + shift :] = columns[:, size:]
+        if distances:
+            block = packed[rows]
+            block[...] = _stationary_profile(spec, np.abs(block, out=block))
     return packed.reshape(-1)
 
 
@@ -330,9 +356,12 @@ def _finite_points(points, what: str) -> np.ndarray:
 
 def _cross_blocks(spec: KernelSpec, query: np.ndarray, points: np.ndarray):
     """Yield (rows, k(query[rows], points)) for the query's
-    ``_row_blocks`` against the points."""
+    ``_row_blocks`` against the points.  A warp kernel warps the query and
+    the points once each, not once per block (``kernels._warped``)."""
+    base, query = _warped(spec, query)
+    _, points = _warped(spec, points)
     for rows in _row_blocks(len(query), len(points)):
-        yield rows, kernel_matrix(spec, query[rows], points)
+        yield rows, kernel_matrix(base, query[rows], points)
 
 
 def _row_blocks(n_rows: int, n_points: int):
@@ -361,7 +390,9 @@ def _block_rows(n_points: int) -> int:
     budgets of 2**15 and 2**16 entries were the fastest of 2**14 .. 2**18,
     or within noise of it.  The same rule sizes the row blocks of the one
     Gram assembly, which walks the N - N // 2 rows of the packed array
-    (``_packed_gram``) in blocks of this many rows.  It was measured on the
+    (``_packed_gram``) in blocks of this many rows: a stationary kernel's
+    profile runs on one block of distances at a time, a mixture's or a
+    convolution's kernel on a block's two parts.  It was measured on the
     whole N x N matrix, walked by rows: that kernel's Gram matrix on 4096
     random points took 0.36 s in one shot and 0.19 s in these 16-row
     blocks (first call in a fresh process, medians of 9, same VM); the

@@ -255,6 +255,15 @@ def _eval_fn(handle: FunctionHandle, x: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
+def _warped(spec: KernelSpec, points: np.ndarray) -> tuple[KernelSpec, np.ndarray]:
+    """A warp kernel on the points is its base kernel on the warped points:
+    (base, w(points)) for a ``WarpKernel``, and (spec, points) for any other
+    kernel.  Callers that pair one point set with many others warp it once."""
+    if isinstance(spec, WarpKernel):
+        return spec.base, _eval_fn(spec.w, points, "warping function")
+    return spec, points
+
+
 class _Pairing(NamedTuple):
     """How ``_evaluate`` pairs the points of ua with those of ub.
 
@@ -323,9 +332,9 @@ def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pairing: _Pairin
         return _stationary_profile(spec, np.abs(x - y))
 
     if isinstance(spec, WarpKernel):
-        wa = _eval_fn(spec.w, ua, "warping function")
-        wb = wa if same else _eval_fn(spec.w, ub, "warping function")
-        return _evaluate(spec.base, wa, wb, pairing)
+        base, wa = _warped(spec, ua)
+        wb = wa if same else _warped(spec, ub)[1]
+        return _evaluate(base, wa, wb, pairing)
 
     if isinstance(spec, MixtureKernel):
         out = np.zeros(np.broadcast(*pairing.shape(ua, ub)).shape)

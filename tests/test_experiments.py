@@ -493,6 +493,42 @@ class TestRunDgpConvergence:
             assert len(records) == 2
             assert all(("truncation-warning" in r.flags) == flagged for r in records)
 
+    def test_layer0_is_factored_once_per_run(self, monkeypatch):
+        """A 3-level run makes one layer-0 spectral factor and hands it to
+        every chain; each level's chain mean is bit for bit that of a chain
+        that factors layer 0 itself."""
+        config, _ = reference_tdgp_config()
+        quick = replace(config, n_schedule=(8, 16, 32), eval_mesh_size=128, rate_tail=2)
+        factorisations, means = [], []
+        real_spectral, real_mean, real_chain = (
+            deep._path_spectral, deep.dgp_posterior_mean, deep.DgpChain
+        )
+
+        def counted_spectral(*args):
+            factorisations.append(1)
+            return real_spectral(*args)
+
+        def kept_mean(*args):
+            means.append(real_mean(*args))
+            return means[-1]
+
+        monkeypatch.setattr(deep, "_path_spectral", counted_spectral)
+        monkeypatch.setattr(deep, "dgp_posterior_mean", kept_mean)
+        run_dgp_convergence(quick, McmcParams(10, 20), seed=1)
+        assert len(factorisations) == 1 and len(means) == 3
+        held = list(means)
+        means.clear()
+        factorisations.clear()
+
+        def own_factor(*args):
+            return real_chain(*args[:5])
+
+        monkeypatch.setattr(deep, "DgpChain", own_factor)
+        run_dgp_convergence(quick, McmcParams(10, 20), seed=1)
+        assert len(factorisations) == 1 + 3
+        for own, shared in zip(means, held, strict=True):
+            np.testing.assert_array_equal(own, shared)
+
 
 class TestCsv:
     def test_records_csv_header(self):

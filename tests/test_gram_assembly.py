@@ -9,13 +9,16 @@ references are ``dtrttf`` of the one-shot matrix and ``dpftrf`` of that;
 layer 0's spectral path factor must be the ``evr`` eigenpairs of the
 one-shot matrix.  The in-place factor also bounds the memory of a fit,
 and of prediction from it, to about half a Gram-sized array, N(N+1)/2
-numbers; a path factor and its draw hold about one.  At small N, where
+numbers; a path factor and its draw hold about one.  The work is counted
+too: a warp runs once per point set, and a stationary kernel's profile
+once per packed entry, one row block at a time.  At small N, where
 the two halves of the packed layout are a few numbers each, every result
 a fit or a draw gives is checked against a dense oracle.
 """
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ import pytest
 from scipy import linalg
 from scipy.linalg import blas, lapack
 
-from gpconv import gp
+from gpconv import gp, kernels
 from gpconv.deep import layer_kernel, sample_dgp_prior
 from gpconv.experiments import builtin_figures, config_from_dict, reference_tdgp_config
 from gpconv.errors import SingularGramError
@@ -35,7 +38,8 @@ from gpconv.gp import (
     posterior_var,
     sample_prior,
 )
-from gpconv.kernels import MaternKernel, kernel_matrix
+from gpconv.functions import FunctionHandle
+from gpconv.kernels import GaussianKernel, MaternKernel, kernel_matrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -302,3 +306,83 @@ def test_an_escalation_frees_the_failed_buffer(monkeypatch):
         tracemalloc.stop()
     assert post.escalated
     assert peak < 1.0 * 8 * n * n
+
+
+def _counted_warp(spec, calls):
+    """``spec`` with its warp wrapped so that every call appends to ``calls``."""
+
+    def fn(u, w=spec.w):
+        calls.append(np.size(u))
+        return w(u)
+
+    return replace(spec, w=FunctionHandle(fn=fn, label=spec.w.label))
+
+
+WARPS = ["fig_warp", "fig_warp_noninv", "tdgp_warp_layer"]
+
+
+@pytest.mark.parametrize("n", SMALL_SIZES + SIZES)
+@pytest.mark.parametrize("name", WARPS)
+def test_gram_matrix_warps_the_points_once(name, n):
+    calls = []
+    spec, pts = _counted_warp(KERNELS[name], calls), _points(n)
+    packed = gp._packed_gram(spec, pts)
+    assert calls == [n]
+    np.testing.assert_array_equal(packed, gp._packed_gram(KERNELS[name], pts))
+
+
+@pytest.mark.parametrize("name", WARPS)
+def test_prediction_warps_each_point_set_once(name):
+    """A cross matrix of many row blocks warps the query once and the
+    design once, for the mean of several levels and for the variance."""
+    calls = []
+    spec, pts = _counted_warp(KERNELS[name], calls), _points(576)
+    query = np.linspace(0.0, 5.0, 1000)
+    assert len(list(gp._row_blocks(len(query), len(pts)))) > 1
+    blocks = list(gp._cross_blocks(spec, query, pts))
+    assert calls == [1000, 576] and len(blocks) > 1
+    for rows, cross in blocks:
+        np.testing.assert_array_equal(cross, kernel_matrix(KERNELS[name], query[rows], pts))
+
+    post = fit(KERNELS[name], TrainingData(pts, np.sin(2.0 * pts), noise_var=1e-6))
+    levels = [(pts[::2], np.ones(288)), (pts, post.weights)]
+    calls.clear()
+    gp.posterior_means(spec, levels, query)
+    assert calls == [1000, 576]
+    calls.clear()
+    posterior_var(replace(post, spec=spec), query)
+    # the variance's prior term, kernel_diag, warps the query a second time
+    assert calls == [1000, 1000, 576]
+
+
+STATIONARY = {
+    "matern_half_integer": MaternKernel(2.5, 0.7),
+    "matern_integer": MaternKernel(3.0, 0.4),
+    "matern_bessel": MaternKernel(1.7, 1.3, 2.0),
+    "gaussian": GaussianKernel(0.9),
+    **{name: KERNELS[name] for name in WARPS},
+}
+
+
+@pytest.mark.parametrize("n", SMALL_SIZES + SIZES)
+@pytest.mark.parametrize("name", sorted(STATIONARY))
+def test_stationary_gram_matrix_evaluates_one_profile_value_per_entry(name, n, monkeypatch):
+    """A stationary or warp Gram matrix sends exactly N(N+1)/2 distances to
+    the profile, with no kernel evaluation, and the packed vector is still
+    that of the one-shot matrix."""
+    spec, pts = STATIONARY[name], _points(n)
+    expected, _ = lapack.dtrttf(kernel_matrix(spec, pts), uplo="L")
+    entries = []
+    real = kernels._stationary_profile
+
+    def counted(spec, r):
+        entries.append(np.size(r))
+        return real(spec, r)
+
+    monkeypatch.setattr(kernels, "_stationary_profile", counted)
+    monkeypatch.setattr(gp, "_stationary_profile", counted)
+    monkeypatch.setattr(gp, "kernel_matrix", None)
+    np.testing.assert_array_equal(gp._packed_gram(spec, pts), expected)
+    assert sum(entries) == n * (n + 1) // 2
+    # one row block at a time: at most _block_rows + 1 of the packed rows
+    assert max(entries) <= min(gp._block_rows(n) + 1, n - n // 2) * (2 * (n // 2) + 1)

@@ -139,7 +139,9 @@ class TestUnionColumns:
 
 
 def _counting(monkeypatch):
-    """Count the entries of every kernel_matrix call, Gram and cross."""
+    """Count the entries of every kernel_matrix call: every cross matrix,
+    and no stationary Gram matrix, which packed assembly builds from
+    distances."""
     entries = []
     real = kernels.kernel_matrix
 
@@ -154,15 +156,23 @@ def _counting(monkeypatch):
 
 
 def _gram_entries(n):
-    """Gram entries that packed assembly evaluates on n points: each block
-    of the p = n - n // 2 packed rows takes its rows of the trailing q x q
-    triangle's part (q = n // 2) and of the lower triangle's columns."""
-    q = n // 2
-    p = n - q
-    return sum(
-        (rows.stop - rows.start) * (q + rows.stop - p + n - rows.start)
-        for rows in gp._row_blocks(p, n)
-    )
+    """Profile entries of a stationary Gram matrix on n points: packed
+    assembly evaluates the profile once per entry of the lower triangle."""
+    return n * (n + 1) // 2
+
+
+def _counting_profile(monkeypatch):
+    """Count the entries of every Matern profile evaluation, Gram and cross."""
+    entries = []
+    real = kernels._matern_profile
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_matern_profile", counted)
+    return entries
 
 
 def _config(**overrides):
@@ -183,19 +193,20 @@ def _config(**overrides):
 class TestEntryCounts:
     def test_nested_schedule_evaluates_the_finest_cross_matrix_once(self, monkeypatch):
         config = _config()
-        entries = _counting(monkeypatch)
+        entries, profile = _counting(monkeypatch), _counting_profile(monkeypatch)
         run_convergence(config, seed=0)
         schedule, mesh = config.n_schedule, config.eval_mesh_size
-        grams = sum(_gram_entries(n) for n in schedule)
-        assert sum(entries) == mesh * max(schedule) + grams
-        assert sum(entries) < mesh * sum(schedule) + grams
+        assert sum(entries) == mesh * max(schedule)
+        assert sum(entries) < mesh * sum(schedule)
+        assert sum(profile) == sum(entries) + sum(_gram_entries(n) for n in schedule)
 
     def test_random_designs_evaluate_every_level_once(self, monkeypatch):
         config = _config(design=DesignRule("random", seed=3))
-        entries = _counting(monkeypatch)
+        entries, profile = _counting(monkeypatch), _counting_profile(monkeypatch)
         run_convergence(config, seed=0)
         schedule, mesh = config.n_schedule, config.eval_mesh_size
-        assert sum(entries) == mesh * sum(schedule) + sum(_gram_entries(n) for n in schedule)
+        assert sum(entries) == mesh * sum(schedule)
+        assert sum(profile) == sum(entries) + sum(_gram_entries(n) for n in schedule)
 
 
 class TestLevelTiming:

@@ -216,11 +216,14 @@ def test_inf_rejected(build, error):
         (lambda: matern_equivalence_constants(1.5, 1.0, 1.0, 1.5), ParameterError),
         (lambda: matern_equivalence_constants(1.5, 1.0, 1.0, True), ParameterError),
         (lambda: DesignRule("random", seed=1.5), ConfigError),
+        (lambda: RateFit(2.0, 0.0, 1.0, 2.5), ParameterError),
+        (lambda: RateFit(2.0, 0.0, 1.0, True), ParameterError),
     ],
     ids=["truncation-order", "dgp-depth", "dgp-width", "norm-order", "rate-tail",
          "chain-iterations", "chain-burn-in", "design-size", "mcmc-burn-in",
          "mcmc-iterations", "bell-half", "bell-float", "bell-bool", "bound-order",
-         "bound-order-bool", "equivalence-dim", "equivalence-dim-bool", "design-seed"],
+         "bound-order-bool", "equivalence-dim", "equivalence-dim-bool", "design-seed",
+         "rate-fit-points", "rate-fit-points-bool"],
 )
 def test_non_integer_count_rejected(build, error):
     """A count given as a float or a bool is rejected up front, not later
@@ -246,3 +249,33 @@ def test_gaussian_hierarchy_kernel_rejected(build):
     """A hierarchy's initial layer and each layer's base are Matern kernels."""
     with pytest.raises(ParameterError, match="MaternKernel"):
         build()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (NAN, INF, 7.0, 3),
+        (NAN, 0.0, 1.0, 2),
+        (2.0, -INF, 1.0, 2),
+        (2.0, 0.0, NAN, 2),
+        (2.0, 0.0, 1.5, 2),
+        (2.0, 0.0, -0.25, 2),
+        (True, 0.0, 1.0, 2),
+        (2.0, 0.0, 1.0, 1),
+    ],
+    ids=["all-bad", "slope-nan", "intercept-inf", "r-squared-nan", "r-squared-above-1",
+         "r-squared-negative", "slope-bool", "one-point"],
+)
+def test_rate_fit_rejects_nonsense(fields):
+    """A rate fit has a finite slope and intercept, r^2 in [0, 1] and at
+    least two points; the extremes themselves are fine."""
+    with pytest.raises(ParameterError):
+        RateFit(*fields)
+    assert RateFit(-3.0, 1e300, 0.0, 2).r_squared == 0.0
+    assert RateFit(2.0, 0.0, 1.0, 7).points_used == 7
+
+
+@pytest.mark.parametrize("noise_var", [True, False, "0.1", None])
+def test_noise_var_must_be_a_number(noise_var):
+    with pytest.raises(ParameterError, match="noise_var"):
+        _data(noise_var=noise_var)
