@@ -197,7 +197,8 @@ def cmd_dgp(args) -> int:
     config = _load_config(args.config)
     mcmc = experiments.McmcParams(n_burn=args.burn, n_iter=args.iters)
     records, fits = experiments.run_dgp_convergence(config, mcmc, args.seed)
-    _report(f"{config.id}: errors " + " ".join(f"{r.errors['l2']:.3e}" for r in records))
+    errors = " ".join(f"{r.errors[config.norms[0]]:.3e}" for r in records)
+    _report(f"{config.id}: errors {errors}")
     _finish_study(Path(args.out), config, records, fits)
     return EXIT_OK
 

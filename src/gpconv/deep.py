@@ -73,7 +73,8 @@ class Truncation:
     def __post_init__(self):
         if self.norm_kind not in ("holder_discrete", "sobolev_discrete"):
             raise ParameterError(f"unknown truncation norm {self.norm_kind!r}")
-        if scalar_problem(self.order, int) or not (self.order >= 0 and 0 < self.radius < math.inf):
+        wrong_type = scalar_problem(self.order, int) or scalar_problem(self.radius, float)
+        if wrong_type or not (self.order >= 0 and 0 < self.radius < math.inf):
             raise ParameterError("truncation needs an integer order >= 0 and a finite radius > 0")
 
     def admits(self, values: np.ndarray, spacing: float) -> bool:
@@ -108,6 +109,8 @@ class LayerSpec:
             raise ParameterError(f"unknown construction {self.construction!r}")
         if not isinstance(self.base, MaternKernel):
             raise ParameterError(f"base must be a MaternKernel, got {self.base!r}")
+        if problem := scalar_problem(self.link_eta, float):
+            raise ParameterError(f"link_eta: {problem}")
         if self.construction == "mixture_f" and not 0 < self.link_eta < math.inf:
             raise ParameterError("link_eta must be positive and finite")
 
@@ -134,6 +137,8 @@ class DgpSpec:
             value = getattr(self, name)
             if scalar_problem(value, int) or value < 1:
                 raise ParameterError(f"{name} must be at least 1 and integral, got {value!r}")
+        if problem := scalar_problem(self.rescale_warp, bool):
+            raise ParameterError(f"rescale_warp: {problem}")
         if len(self.layers) != self.depth:
             raise ParameterError(f"need {self.depth} layer specs, got {len(self.layers)}")
         if self.width > 1 and (self.depth != 1 or self.layers[0].construction != "mixture_f"):

@@ -13,9 +13,8 @@ adds its ``variant``) and may leave out any field with a default, so each
 default is stated once, on its dataclass.  An unknown key or a value of the
 wrong type is a ``ConfigError`` naming its key path.  Every kernel object
 names its ``variant``, also where the field takes one kernel class only (a
-hierarchy's ``layer0`` and each layer's ``base`` are ``"matern"``).  One
-layout is an exception: mixture components are ``{"sigma", "base"}``
-objects.  ``config_to_dict`` writes every field, defaults included.  A
+hierarchy's ``layer0`` and each layer's ``base`` are ``"matern"``).
+``config_to_dict`` writes every field, defaults included.  A
 hierarchy has no domain of its own: a rescaled warp layer maps onto the
 config's ``domain``, the ends of the evaluation mesh its chain runs on.
 
@@ -92,6 +91,11 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "fixed", "schedule"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        for name, kind in (
+            ("delta_sq", float), ("c_delta", float), ("exponent", float), ("sample_noise", bool)
+        ):
+            if problem := scalar_problem(getattr(self, name), kind):
+                raise ConfigError(f"{name}: {problem}")
         if self.kind == "fixed" and not 0 < self.delta_sq < math.inf:
             raise ConfigError("fixed noise requires a finite delta_sq > 0")
         if self.kind == "schedule" and not 0 < self.c_delta < math.inf:
@@ -168,6 +172,9 @@ class ExperimentConfig:
         for norm in self.norms:
             if norm not in NORM_KINDS:
                 raise ConfigError(f"unknown norm kind {norm!r}")
+        # a study reports its first norm, and a repeat would write a column twice
+        if not self.norms or len(set(self.norms)) != len(self.norms):
+            raise ConfigError(f"norms must be non-empty, without repeats, got {list(self.norms)}")
         for name, kind in (("rate_tail", int), ("eval_mesh_size", int), ("jitter", float)):
             if problem := scalar_problem(getattr(self, name), kind):
                 raise ConfigError(f"{name}: {problem}")
@@ -536,14 +543,6 @@ _VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class _Component:
-    """JSON layout of one mixture component, ``(sigma, base)`` in the kernel."""
-
-    sigma: FunctionHandle
-    base: KernelSpec
-
-
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
@@ -561,8 +560,6 @@ def _encode(value):
     if not is_dataclass(value):
         return value
     out = {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, MixtureKernel):
-        out["components"] = [_encode(_Component(*c)) for c in value.components]
     variant = _VARIANTS.get(type(value))
     return out if variant is None else {"variant": variant, **out}
 
@@ -604,8 +601,6 @@ def _decode_object(cls, data, path: str):
     if not isinstance(data, dict):
         raise _error(path, f"expected an object, got {data!r}")
     hints = typing.get_type_hints(cls)
-    if cls is MixtureKernel:
-        hints["components"] = tuple[_Component, ...]
     names = [f.name for f in fields(cls)]
     if unknown := [_join(path, key) for key in data if key not in names]:
         raise ConfigError(f"unknown keys {unknown}")
@@ -613,8 +608,6 @@ def _decode_object(cls, data, path: str):
     if missing := [_join(path, key) for key in required if key not in data]:
         raise ConfigError(f"missing keys {missing}")
     kwargs = {key: _decode(hints[key], value, _join(path, key)) for key, value in data.items()}
-    if cls is MixtureKernel:
-        kwargs["components"] = tuple((c.sigma, c.base) for c in kwargs["components"])
     try:
         return cls(**kwargs)
     except (ConfigError, ParameterError) as exc:

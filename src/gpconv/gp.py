@@ -424,10 +424,13 @@ def posterior_var(post: GpPosterior, query) -> np.ndarray:
 
     Subtracts |L^-1 k(u, U)|^2, with L the factor, block by block over the
     prediction's ``_cross_blocks``, so no query-sized cross matrix is held.
+    A warp kernel warps the query and the design points once each
+    (``kernels._warped``), for the prior term and the cross matrix alike.
     """
-    query = _finite_points(query, "query")
-    raw = kernel_diag(post.spec, query)
-    for rows, cross in _cross_blocks(post.spec, query, post.data.points):
+    base, query = _warped(post.spec, _finite_points(query, "query"))
+    _, points = _warped(post.spec, post.data.points)
+    raw = kernel_diag(base, query)
+    for rows, cross in _cross_blocks(base, query, points):
         half = lapack.dtfsm(1.0, post.factor, cross.T, uplo="L", overwrite_b=1)
         raw[rows] -= np.sum(half**2, axis=0)
     # the most negative value decides: the clamp raises on it, or all clamp to 0

@@ -78,13 +78,24 @@ class WarpKernel:
 
 
 @dataclass(frozen=True)
+class Component:
+    """One mixture term sigma(u) sigma(u') k(u, u'); unpacks as (sigma, base)."""
+
+    sigma: FunctionHandle
+    base: "KernelSpec"
+
+    def __iter__(self):
+        return iter((self.sigma, self.base))
+
+
+@dataclass(frozen=True)
 class MixtureKernel:
-    components: tuple[tuple[FunctionHandle, "KernelSpec"], ...]
+    components: tuple[Component, ...]
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise ParameterError("mixture needs at least one component")
-        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+        object.__setattr__(self, "components", tuple(Component(*c) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,8 @@ KernelSpec = Union[MaternKernel, GaussianKernel, WarpKernel, MixtureKernel, Conv
 
 def _check_positive(**params):
     for name, value in params.items():
-        if not 0 < value < math.inf:
-            raise ParameterError(f"{name} must be positive and finite, got {value}")
+        if scalar_problem(value, float) or not 0 < value < math.inf:
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def is_stationary(spec: KernelSpec) -> bool:
@@ -287,8 +298,7 @@ def _nonzero(mask: np.ndarray):
 
 
 def _outer_support(sa: np.ndarray, sb: np.ndarray):
-    rows = _nonzero(sa)
-    cols = rows if sb is sa else _nonzero(sb)
+    rows, cols = _nonzero(sa), _nonzero(sb)
     if isinstance(rows, slice) or isinstance(cols, slice):
         return rows, cols, (rows, cols)
     return rows, cols, np.ix_(rows, cols)
@@ -308,10 +318,11 @@ _ELEMENTWISE = _Pairing(lambda x, y: (x, y), _elementwise_support)
 def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pairing: _Pairing) -> np.ndarray:
     """k(ua, ub) for two 1-D point vectors under ``pairing``: ``_OUTER``
     gives the matrix k(ua_i, ub_j), ``_ELEMENTWISE`` the vector
-    k(ua_i, ub_i).  When ``ub is ua``, per-point values (warped points,
-    coefficients, length scales) are computed once and paired with
-    themselves, so every Gram entry is assembled from expressions symmetric
-    in (i, j) and the matrix is exactly symmetric.
+    k(ua_i, ub_i).  Per-point values (warped points, coefficients, length
+    scales) are computed for ua and for ub alike, and every entry is built
+    from products, sums and |x - y|, each symmetric in its two points in
+    IEEE arithmetic.  So k(ua, ub) is the transpose of k(ub, ua) bit for
+    bit, and a Gram matrix (ub equal to ua) is exactly symmetric.
 
     A mixture evaluates each component's base kernel only where its
     coefficient product can be nonzero, as ``pairing.support`` selects.  It
@@ -326,25 +337,20 @@ def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pairing: _Pairin
     never sees a point where its coefficient is 0, so a base that would
     raise, or give a non-finite value, only at such points does neither.
     """
-    same = ub is ua
     if is_stationary(spec):
         x, y = pairing.shape(ua, ub)
         return _stationary_profile(spec, np.abs(x - y))
 
     if isinstance(spec, WarpKernel):
-        base, wa = _warped(spec, ua)
-        wb = wa if same else _warped(spec, ub)[1]
-        return _evaluate(base, wa, wb, pairing)
+        return _evaluate(spec.base, _warped(spec, ua)[1], _warped(spec, ub)[1], pairing)
 
     if isinstance(spec, MixtureKernel):
         out = np.zeros(np.broadcast(*pairing.shape(ua, ub)).shape)
         for sigma_fn, base in spec.components:
             sa = _eval_fn(sigma_fn, ua, "mixture coefficient")
-            sb = sa if same else _eval_fn(sigma_fn, ub, "mixture coefficient")
+            sb = _eval_fn(sigma_fn, ub, "mixture coefficient")
             ia, ib, cells = pairing.support(sa, sb)
-            # sub-arrays taken once when same, so the base stays symmetric
-            va = ua[ia]
-            vb = va if same else ub[ib]
+            va, vb = ua[ia], ub[ib]
             if va.size == 0 or vb.size == 0:
                 continue
             x, y = pairing.shape(sa[ia], sb[ib])
@@ -353,13 +359,12 @@ def _evaluate(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray, pairing: _Pairin
 
     if isinstance(spec, ConvolutionKernel):
         la = _eval_fn(spec.lambda_a, ua, "length-scale function")
-        lb = la if same else _eval_fn(spec.lambda_a, ub, "length-scale function")
+        lb = _eval_fn(spec.lambda_a, ub, "length-scale function")
         if np.any(la <= 0) or np.any(lb <= 0):
             raise DomainError("length-scale function must be strictly positive")
         # sqrt(2) la^(1/4) lb^(1/4) assembled as (2 la)^(1/4) (2 lb)^(1/4)
         # so every factor is symmetric in (i, j) down to the last ulp
-        sa = (2.0 * la) ** 0.25
-        sb = sa if same else (2.0 * lb) ** 0.25
+        sa, sb = (2.0 * la) ** 0.25, (2.0 * lb) ** 0.25
         (sa, sb), (la, lb) = pairing.shape(sa, sb), pairing.shape(la, lb)
         x, y = pairing.shape(ua, ub)
         prefactor = (sa * sb) * (la + lb) ** -0.5

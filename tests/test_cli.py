@@ -237,6 +237,19 @@ class TestDgp:
         lines = (out / "tdgp_small.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two levels
 
+    def test_hierarchy_run_without_l2(self, tmp_path, small_dgp_config_path, capsys):
+        """The console line reports the config's first norm, whichever it is."""
+        data = json.loads(small_dgp_config_path.read_text())
+        data["norms"] = ["sup"]
+        path = tmp_path / "tdgp_sup.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "dgp"
+        argv = ["dgp", "--config", str(path), "--out", str(out), "--burn", "5", "--iters", "5"]
+        assert main(argv) == 0
+        header = (out / "tdgp_small.csv").read_text().splitlines()[0]
+        assert header == "n,fill_distance,error_sup,wall_time_ms,flags"
+        assert "tdgp_small: errors " in capsys.readouterr().out
+
 
 class _ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError.

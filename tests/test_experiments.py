@@ -66,6 +66,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _small_config(norms=("l3",))
 
+    @pytest.mark.parametrize("norms", [("l2", "sup", "l2"), ()])
+    def test_norms_must_be_distinct_and_present(self, norms):
+        # a repeat would write one CSV column and one SVG twice, and a study
+        # without a norm measures nothing
+        with pytest.raises(ConfigError, match="norms must be non-empty"):
+            _small_config(norms=norms)
+
     def test_noise_kinds(self):
         assert NoiseModel("fixed", delta_sq=1e-6).level(0.1) == 1e-6
         with pytest.raises(ConfigError):
@@ -104,6 +111,15 @@ class TestSerialisation:
             assert config_to_dict(rebuilt) == data
             assert rebuilt.id == config.id
             assert rebuilt.kernel == config.kernel
+
+    def test_mixture_component_layout(self):
+        """A mixture component is written by the field rule, as
+        {"sigma", "base"} in that key order."""
+        spec = builtin_figures()[0].kernel  # fig_mix3_smooth
+        components = json.loads(json.dumps(kernel_to_dict(spec)))["components"]
+        assert [list(c) for c in components] == [["sigma", "base"]] * 3
+        for data, (sigma, base) in zip(components, spec.components):
+            assert data == {"sigma": sigma.to_params(), "base": kernel_to_dict(base)}
 
     def test_json_bytes_stable(self):
         config = builtin_figures()[0]

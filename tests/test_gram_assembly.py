@@ -351,8 +351,7 @@ def test_prediction_warps_each_point_set_once(name):
     assert calls == [1000, 576]
     calls.clear()
     posterior_var(replace(post, spec=spec), query)
-    # the variance's prior term, kernel_diag, warps the query a second time
-    assert calls == [1000, 1000, 576]
+    assert calls == [1000, 576]
 
 
 STATIONARY = {

@@ -24,6 +24,7 @@ from gpconv.errors import (
 from gpconv.experiments import builtin_figures
 from gpconv.functions import make_function
 from gpconv.kernels import (
+    Component,
     ConvolutionKernel,
     GaussianKernel,
     MaternKernel,
@@ -189,8 +190,49 @@ class TestKernelEval:
         with pytest.raises(ParameterError):
             MixtureKernel(components=())
 
+    def test_mixture_components_are_component_pairs(self):
+        pairs = ((IDENTITY, MaternKernel(1.5)), (UNIT, GaussianKernel(0.7)))
+        spec = MixtureKernel(components=pairs)
+        assert spec == MixtureKernel(components=tuple(Component(*p) for p in pairs))
+        assert all(type(c) is Component for c in spec.components)
+        assert [tuple(c) for c in spec.components] == list(pairs)
+        sigma, base = spec.components[1]
+        assert (sigma, base) == (UNIT, GaussianKernel(0.7))
+
+
+_POLY2 = make_function({"kind": "poly2", "a": 0.2, "b": 0.1, "c": 0.0})
+# every figure kernel, a mixture whose components warp, and a convolution
+# over a Bessel-order base
+_GRAM_KERNELS = {
+    **{c.id: c.kernel for c in builtin_figures()},
+    "mixture_of_warps": MixtureKernel(
+        components=(
+            (make_function({"kind": "sine", "freq": 1.0, "amp": 1.0}),
+             WarpKernel(w=_POLY2, base=MaternKernel(2.5, lam=0.3))),
+            (UNIT, WarpKernel(w=IDENTITY, base=MaternKernel(1.7))),
+        )
+    ),
+    "convolution_bessel": ConvolutionKernel(
+        lambda_a=make_function({"kind": "poly2_sin", "a": 1.0, "b": -3.0, "c": 4.0}),
+        base_iso=MaternKernel(1.7),
+    ),
+}
+
 
 class TestGram:
+    @pytest.mark.parametrize("name", sorted(_GRAM_KERNELS))
+    def test_symmetric_without_shared_arrays(self, name):
+        """Rows and columns are evaluated each from their own points, so a
+        Gram matrix from one array, from two equal arrays, and the transpose
+        of either are equal bit for bit, and the diagonal is kernel_diag's."""
+        spec = _GRAM_KERNELS[name]
+        pts = np.random.default_rng(11).uniform(0.0, 5.0, 40)
+        one = kernel_matrix(spec, pts)
+        two = kernel_matrix(spec, pts, pts.copy())
+        for matrix in (one.T, two, two.T):
+            assert matrix.tobytes() == one.tobytes()
+        assert kernel_diag(spec, pts.copy()).tobytes() == np.diag(one).tobytes()
+
     def test_single_point(self):
         np.testing.assert_allclose(gram(MaternKernel(0.5), [0.0]), [[1.0]])
 

@@ -103,6 +103,7 @@ def _svg(h=0.5, error=0.1, slope=2.0, intercept=0.0, reference=2.0):
         (lambda: fit(MaternKernel(1.5), _data(), jitter=NAN), ParameterError),
         (lambda: NoiseModel("fixed", delta_sq=NAN), ConfigError),
         (lambda: NoiseModel("schedule", c_delta=NAN), ConfigError),
+        (lambda: NoiseModel("schedule", c_delta=1.0, exponent=NAN), ConfigError),
         (lambda: check_psd(MaternKernel(1.5), PTS, tol=NAN), ParameterError),
         (lambda: TrainingData([0.0, NAN], [1.0, 2.0]), ParameterError),
         (lambda: TrainingData([0.0, 1.0], [1.0, NAN]), ParameterError),
@@ -129,7 +130,7 @@ def _svg(h=0.5, error=0.1, slope=2.0, intercept=0.0, reference=2.0):
         (lambda: _svg(reference=NAN), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol", "training-point", "training-value", "design-point", "query-mean",
+         "exponent", "psd-tol", "training-point", "training-value", "design-point", "query-mean",
          "query-var", "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh",
          "chain-mesh", "matern-distance", "rate-h", "rate-error", "equivalence-lam",
          "equivalence-sigma-sq", "bound-norm-input", "bound-lambda-c0", "plot-h",
@@ -152,6 +153,7 @@ INF = math.inf
         (lambda: fit(MaternKernel(1.5), _data(), jitter=INF), ParameterError),
         (lambda: NoiseModel("fixed", delta_sq=INF), ConfigError),
         (lambda: NoiseModel("schedule", c_delta=INF), ConfigError),
+        (lambda: NoiseModel("schedule", c_delta=1.0, exponent=INF), ConfigError),
         (lambda: check_psd(MaternKernel(1.5), PTS, tol=INF), ParameterError),
         (lambda: MaternKernel(2.5, lam=INF), ParameterError),
         (lambda: MaternKernel(2.5, sigma_sq=INF), ParameterError),
@@ -182,7 +184,7 @@ INF = math.inf
         (lambda: _svg(reference=INF), ParameterError),
     ],
     ids=["truncation-radius", "link-eta", "noise-var", "jitter", "delta-sq", "c-delta",
-         "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
+         "exponent", "psd-tol", "matern-lam", "matern-sigma-sq", "gaussian-lam", "gaussian-sigma-sq",
          "training-point", "training-value", "design-domain", "query-mean", "query-var",
          "query-cov", "norm-values", "prior-mesh", "dgp-prior-mesh", "chain-mesh",
          "matern-distance", "rate-h", "rate-error", "equivalence-lam",
@@ -228,6 +230,40 @@ def test_inf_rejected(build, error):
 def test_non_integer_count_rejected(build, error):
     """A count given as a float or a bool is rejected up front, not later
     by a bare TypeError from range() or a slice."""
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: NoiseModel("schedule", c_delta=1.0, exponent="2.5"), ConfigError),
+        (lambda: NoiseModel("fixed", delta_sq=True), ConfigError),
+        (lambda: NoiseModel("schedule", c_delta=True), ConfigError),
+        (lambda: NoiseModel(sample_noise=1), ConfigError),
+        (lambda: NoiseModel(sample_noise="no"), ConfigError),
+        (lambda: MaternKernel(True), ParameterError),
+        (lambda: MaternKernel("2.5"), ParameterError),
+        (lambda: MaternKernel(2.5, sigma_sq=True), ParameterError),
+        (lambda: GaussianKernel(lam=True), ParameterError),
+        (lambda: Truncation("holder_discrete", 2, True), ParameterError),
+        (lambda: Truncation("holder_discrete", 2, "50"), ParameterError),
+        (lambda: LayerSpec("mixture_f", MaternKernel(1.5), link_eta=True), ParameterError),
+        (lambda: LayerSpec("warp", MaternKernel(1.5), link_eta="1"), ParameterError),
+        (lambda: DgpSpec(depth=1, layer0=MaternKernel(3.5), layers=DGP.layers,
+                         rescale_warp="no"), ParameterError),
+        (lambda: DgpSpec(depth=1, layer0=MaternKernel(3.5), layers=DGP.layers,
+                         rescale_warp=1), ParameterError),
+    ],
+    ids=["exponent-str", "delta-sq-bool", "c-delta-bool", "sample-noise-int",
+         "sample-noise-str", "matern-nu-bool", "matern-nu-str", "matern-sigma-sq-bool",
+         "gaussian-lam-bool", "truncation-radius-bool", "truncation-radius-str",
+         "link-eta-bool", "warp-link-eta-str", "rescale-warp-str", "rescale-warp-int"],
+)
+def test_wrong_type_rejected(build, error):
+    """A real-valued field takes a number but no bool, and a flag takes a
+    bool only, as in a JSON config; a wrong type is the constructor's
+    own error, not a bare TypeError or a later failure."""
     with pytest.raises(error):
         build()
 
